@@ -9,21 +9,21 @@
 // balancer ejects the victim after `fall` missed probes, evicts its pinned
 // flows (they reroute to the survivor), and readmits it after `rise`
 // post-reboot successes. Gates: worst-cycle goodput during the outage window
-// stays >= min_outage_goodput_frac of steady state, post-readmission goodput
-// recovers to >= min_recovered_goodput_frac, and p99 time-to-ejection /
-// time-to-readmission stay under their ceilings.
+// stays >= min_armed.worst_outage_goodput_frac of steady state,
+// post-readmission goodput recovers to >= min_armed.worst_recovered_goodput_frac,
+// and p99 time-to-ejection / time-to-readmission stay under their ceilings.
 //
 // Lane 2 (blackhole): same fleet, health checks DISABLED, one kill and no
 // reboot. Pinned flows keep routing to the dead backend and new pins
 // round-robin onto it blindly; goodput collapses and stays down. The gate is
-// inverted: post-kill goodput must stay <= max_blackhole_goodput_frac of
+// inverted: post-kill goodput must stay <= max_blackhole.goodput_frac of
 // steady state — if it doesn't, the bench is no longer demonstrating the
 // hazard the health checks exist to fix.
 //
 // Everything on stdout is simulated-metric only and bit-identical for any
-// --threads value (the cluster determinism contract); JSON goes to
-// BENCH_failover.json (--out), and --check FILE gates against the committed
-// baseline (bench/failover_baseline.json in CI).
+// --threads value (the cluster determinism contract); the metrics go to
+// BENCH_failover.json (--out), and --check FILE gates them against the
+// committed baseline (bench/failover_baseline.json in CI; bench/report.h).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +34,7 @@
 
 #include "apps/http.h"
 #include "bench/common.h"
+#include "bench/report.h"
 #include "cluster/topology.h"
 #include "sim/engine.h"
 #include "sim/fault.h"
@@ -303,33 +304,13 @@ BlackholeResult RunBlackhole(uint32_t threads) {
   return r;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON dependency.
-bool JsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_failover.json";
-  std::string check_path;
+  bench::Report report("failover", "BENCH_failover.json", argc, argv);
   uint32_t threads = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = static_cast<uint32_t>(std::atoi(argv[++i]));
     }
   }
@@ -360,99 +341,16 @@ int main(int argc, char** argv) {
               "(pinned flows blackhole)\n",
               bh.steady_rps, bh.blackhole_frac);
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"failover\",\n");
-  std::fprintf(f, "  \"threads\": %u,\n", threads);
-  std::fprintf(f, "  \"steady_rps\": %.1f,\n", armed.steady_rps);
-  std::fprintf(f, "  \"worst_outage_goodput_frac\": %.3f,\n", armed.worst_outage_frac);
-  std::fprintf(f, "  \"worst_recovered_goodput_frac\": %.3f,\n",
-               armed.worst_recovered_frac);
-  std::fprintf(f, "  \"time_to_ejection_p99_ms\": %.2f,\n", armed.tte_p99_ms);
-  std::fprintf(f, "  \"time_to_readmission_p99_ms\": %.2f,\n", armed.ttr_p99_ms);
-  std::fprintf(f, "  \"ejections\": %llu,\n",
-               static_cast<unsigned long long>(armed.ejected));
-  std::fprintf(f, "  \"readmissions\": %llu,\n",
-               static_cast<unsigned long long>(armed.readmitted));
-  std::fprintf(f, "  \"pins_evicted\": %llu,\n",
-               static_cast<unsigned long long>(armed.pins_evicted));
-  std::fprintf(f, "  \"failover_reroutes\": %llu,\n",
-               static_cast<unsigned long long>(armed.reroutes));
-  std::fprintf(f, "  \"blackhole_goodput_frac\": %.3f\n", bh.blackhole_frac);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-
-  if (!check_path.empty()) {
-    FILE* b = std::fopen(check_path.c_str(), "r");
-    if (b == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(b);
-    double min_steady = 0, min_outage = 0, min_recovered = 0;
-    double max_tte = 0, max_ttr = 0, max_blackhole = 0;
-    if (!JsonNumber(text, "min_steady_rps", &min_steady) ||
-        !JsonNumber(text, "min_outage_goodput_frac", &min_outage) ||
-        !JsonNumber(text, "min_recovered_goodput_frac", &min_recovered) ||
-        !JsonNumber(text, "max_time_to_ejection_ms", &max_tte) ||
-        !JsonNumber(text, "max_time_to_readmission_ms", &max_ttr) ||
-        !JsonNumber(text, "max_blackhole_goodput_frac", &max_blackhole)) {
-      std::fprintf(stderr, "baseline %s missing required keys\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    if (armed.steady_rps < min_steady) {
-      std::fprintf(stderr, "FAIL: steady goodput %.0f below floor %.0f\n",
-                   armed.steady_rps, min_steady);
-      ok = false;
-    }
-    if (armed.worst_outage_frac < min_outage) {
-      std::fprintf(stderr, "FAIL: outage goodput frac %.2f below floor %.2f\n",
-                   armed.worst_outage_frac, min_outage);
-      ok = false;
-    }
-    if (armed.worst_recovered_frac < min_recovered) {
-      std::fprintf(stderr, "FAIL: recovered goodput frac %.2f below floor %.2f\n",
-                   armed.worst_recovered_frac, min_recovered);
-      ok = false;
-    }
-    if (armed.tte_p99_ms > max_tte) {
-      std::fprintf(stderr, "FAIL: time-to-ejection p99 %.2f ms above ceiling %.2f\n",
-                   armed.tte_p99_ms, max_tte);
-      ok = false;
-    }
-    if (armed.ttr_p99_ms > max_ttr) {
-      std::fprintf(stderr, "FAIL: time-to-readmission p99 %.2f ms above ceiling %.2f\n",
-                   armed.ttr_p99_ms, max_ttr);
-      ok = false;
-    }
-    if (bh.blackhole_frac > max_blackhole) {
-      std::fprintf(stderr,
-                   "FAIL: blackhole lane kept %.2f of steady goodput (ceiling %.2f) — "
-                   "the unhealthy lane no longer demonstrates the hazard\n",
-                   bh.blackhole_frac, max_blackhole);
-      ok = false;
-    }
-    if (!ok) {
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "baseline check passed (steady %.0f >= %.0f, outage %.2f >= %.2f, "
-                 "recovered %.2f >= %.2f, tte %.2f <= %.2f ms, ttr %.2f <= %.2f ms, "
-                 "blackhole %.2f <= %.2f)\n",
-                 armed.steady_rps, min_steady, armed.worst_outage_frac, min_outage,
-                 armed.worst_recovered_frac, min_recovered, armed.tte_p99_ms, max_tte,
-                 armed.ttr_p99_ms, max_ttr, bh.blackhole_frac, max_blackhole);
-  }
-  return 0;
+  report.Set("threads", threads);
+  report.Set("armed.steady_rps", armed.steady_rps);
+  report.Set("armed.worst_outage_goodput_frac", armed.worst_outage_frac);
+  report.Set("armed.worst_recovered_goodput_frac", armed.worst_recovered_frac);
+  report.Set("armed.time_to_ejection_p99_ms", armed.tte_p99_ms);
+  report.Set("armed.time_to_readmission_p99_ms", armed.ttr_p99_ms);
+  report.Set("armed.ejections", static_cast<double>(armed.ejected));
+  report.Set("armed.readmissions", static_cast<double>(armed.readmitted));
+  report.Set("armed.pins_evicted", static_cast<double>(armed.pins_evicted));
+  report.Set("armed.failover_reroutes", static_cast<double>(armed.reroutes));
+  report.Set("blackhole.goodput_frac", bh.blackhole_frac);
+  return report.Finish();
 }

@@ -15,10 +15,10 @@
 // capacity. The fleet lane runs Cheetah with HttpServerOptions fully armed and
 // clients pipelining over ~10k pooled keep-alive connections; the legacy lane
 // is the same Cheetah server in its historical close-per-request mode. Stdout
-// is deterministic (sim metrics only). A JSON dump goes to
+// is deterministic (sim metrics only). The metrics go to
 // BENCH_fleet_http.json (--out overrides); with `--check FILE` the binary
 // exits nonzero unless the floors in the committed baseline hold — the CI
-// acceptance gate.
+// acceptance gate (bench/report.h).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -30,6 +30,7 @@
 
 #include "apps/http.h"
 #include "bench/common.h"
+#include "bench/report.h"
 #include "cluster/topology.h"
 #include "hw/nic.h"
 #include "sim/engine.h"
@@ -372,34 +373,16 @@ FleetRunResult RunFleet(double offered_per_sec, bool armed) {
   return CollectFleetResult(clients, server);
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON dependency.
-bool JsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
+std::string RateName(double rate) { return ".r" + std::to_string(static_cast<int>(rate)); }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_fleet_http.json";
-  std::string check_path;
+  bench::Report report("fleet_http", "BENCH_fleet_http.json", argc, argv);
   bool single_engine = false;
   uint32_t threads = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--single-engine") == 0) {
+    if (std::strcmp(argv[i], "--single-engine") == 0) {
       single_engine = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = static_cast<uint32_t>(std::atoi(argv[++i]));
@@ -413,7 +396,6 @@ int main(int argc, char** argv) {
   std::printf("%-9s %-11s %-11s %-8s %-7s %-7s\n", "filters", "walk cy/pkt",
               "cache cy/pkt", "speedup", "hits", "misses");
   const size_t tables[] = {64, 256, 1024, 2048};
-  std::vector<DemuxResult> demux;
   for (size_t n : tables) {
     DemuxResult r = RunDemuxRow(n, /*packets=*/1024);
     std::printf("%-9zu %-11.0f %-11.0f %-8.1f %-7llu %-7llu\n", r.filters,
@@ -422,9 +404,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.misses));
     std::fprintf(stderr, "demux %zu filters: wall %.0f ns/pkt walk, %.0f ns/pkt cached\n",
                  r.filters, r.walk_wall_ns, r.cache_wall_ns);
-    demux.push_back(r);
+    const std::string p = "demux.f" + std::to_string(n) + ".";
+    report.Set(p + "walk_cycles_per_pkt", r.walk_cycles_per_pkt);
+    report.Set(p + "cache_cycles_per_pkt", r.cache_cycles_per_pkt);
+    report.Set(p + "speedup", r.speedup);
   }
-  const DemuxResult& big = demux.back();
 
   // ---- Part 2: open-loop sweep, legacy vs fleet-armed Cheetah ----
   std::printf("\nhttp: %d clients, Zipf(1.1) over %zu docs, %.1fs simulated\n", kClients,
@@ -445,6 +429,14 @@ int main(int argc, char** argv) {
               "offered", "goodput", "conns/s", "p99ms", "goodput", "shed/s", "fail/s",
               "conns/s", "p99ms", "p999ms", "peak");
 
+  // Per-row metrics are named by lane and offered rate: "fleet.r20000.p99_ms".
+  auto lane = [&report](const std::string& p, const FleetRunResult& res) {
+    report.Set(p + ".goodput", res.goodput);
+    report.Set(p + ".conns_per_s", res.conns_per_s);
+    report.Set(p + ".p50_ms", res.p50_ms);
+    report.Set(p + ".p99_ms", res.p99_ms);
+    report.Set(p + ".p999_ms", res.p999_ms);
+  };
   const double rates[] = {5'000, 10'000, 20'000, 40'000};
   std::vector<FleetRunResult> legacy_v, fleet_v;
   size_t peak_conns = 0;
@@ -462,6 +454,12 @@ int main(int argc, char** argv) {
         fleet.shed, fleet.failed, fleet.conns_per_s, fleet.p99_ms, fleet.p999_ms,
         fleet.peak_conns);
     peak_conns = std::max(peak_conns, fleet.peak_conns);
+    const std::string r = RateName(rate);
+    lane("legacy" + r, legacy);
+    lane("fleet" + r, fleet);
+    report.Set("fleet" + r + ".peak_conns", static_cast<double>(fleet.peak_conns));
+    report.Set("fleet" + r + ".cache_hits", static_cast<double>(fleet.cache_hits));
+    report.Set("fleet" + r + ".gather_sends", static_cast<double>(fleet.gather_sends));
     legacy_v.push_back(legacy);
     fleet_v.push_back(fleet);
   }
@@ -485,102 +483,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fleet_gate.cache_evictions),
               static_cast<unsigned long long>(fleet_gate.gather_sends));
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"fleet_http\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", single_engine ? "single_engine" : "cluster");
-  std::fprintf(f, "  \"threads\": %u,\n", threads);
-  std::fprintf(f, "  \"demux_speedup_at_%zu_filters\": %.2f,\n", big.filters,
-               big.speedup);
-  std::fprintf(f, "  \"peak_concurrent_conns\": %zu,\n", peak_conns);
-  std::fprintf(f, "  \"gate_rate\": %.0f,\n", rates[kGateIdx]);
-  std::fprintf(f, "  \"fleet_goodput_at_gate_rate\": %.1f,\n", fleet_gate.goodput);
-  std::fprintf(f, "  \"fleet_vs_legacy_goodput_ratio_at_gate_rate\": %.3f,\n",
-               gate_ratio);
-  std::fprintf(f, "  \"demux\": [\n");
-  for (size_t i = 0; i < demux.size(); ++i) {
-    const DemuxResult& r = demux[i];
-    std::fprintf(f,
-                 "    {\"filters\": %zu, \"walk_cycles_per_pkt\": %.1f, "
-                 "\"cache_cycles_per_pkt\": %.1f, \"speedup\": %.2f}%s\n",
-                 r.filters, r.walk_cycles_per_pkt, r.cache_cycles_per_pkt, r.speedup,
-                 i + 1 < demux.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"http\": [\n");
-  for (size_t i = 0; i < fleet_v.size(); ++i) {
-    const FleetRunResult& lg = legacy_v[i];
-    const FleetRunResult& fl = fleet_v[i];
-    std::fprintf(
-        f,
-        "    {\"offered\": %.0f, "
-        "\"legacy\": {\"goodput\": %.1f, \"conns_per_s\": %.1f, \"p50_ms\": %.2f, "
-        "\"p99_ms\": %.2f, \"p999_ms\": %.2f}, "
-        "\"fleet\": {\"goodput\": %.1f, \"conns_per_s\": %.1f, \"p50_ms\": %.2f, "
-        "\"p99_ms\": %.2f, \"p999_ms\": %.2f, \"peak_conns\": %zu, "
-        "\"cache_hits\": %llu, \"gather_sends\": %llu}}%s\n",
-        rates[i], lg.goodput, lg.conns_per_s, lg.p50_ms, lg.p99_ms, lg.p999_ms,
-        fl.goodput, fl.conns_per_s, fl.p50_ms, fl.p99_ms, fl.p999_ms, fl.peak_conns,
-        static_cast<unsigned long long>(fl.cache_hits),
-        static_cast<unsigned long long>(fl.gather_sends),
-        i + 1 < fleet_v.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-
-  if (!check_path.empty()) {
-    FILE* b = std::fopen(check_path.c_str(), "r");
-    if (b == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(b);
-    double min_speedup = 0, min_peak = 0, min_goodput = 0, min_ratio = 0;
-    if (!JsonNumber(text, "min_demux_speedup", &min_speedup) ||
-        !JsonNumber(text, "min_peak_concurrent_conns", &min_peak) ||
-        !JsonNumber(text, "min_fleet_goodput_at_gate_rate", &min_goodput) ||
-        !JsonNumber(text, "min_fleet_vs_legacy_goodput_ratio", &min_ratio)) {
-      std::fprintf(stderr, "baseline %s missing required keys\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    if (big.speedup < min_speedup) {
-      std::fprintf(stderr, "FAIL: demux speedup %.1f below floor %.1f\n", big.speedup,
-                   min_speedup);
-      ok = false;
-    }
-    if (static_cast<double>(peak_conns) < min_peak) {
-      std::fprintf(stderr, "FAIL: peak concurrent conns %zu below floor %.0f\n",
-                   peak_conns, min_peak);
-      ok = false;
-    }
-    if (fleet_gate.goodput < min_goodput) {
-      std::fprintf(stderr, "FAIL: fleet goodput %.0f/s below floor %.0f/s\n",
-                   fleet_gate.goodput, min_goodput);
-      ok = false;
-    }
-    if (gate_ratio < min_ratio) {
-      std::fprintf(stderr, "FAIL: fleet/legacy goodput ratio %.2f below floor %.2f\n",
-                   gate_ratio, min_ratio);
-      ok = false;
-    }
-    if (!ok) {
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "baseline check passed (speedup %.1f >= %.1f, peak %zu >= %.0f, "
-                 "goodput %.0f >= %.0f, ratio %.2f >= %.2f)\n",
-                 big.speedup, min_speedup, peak_conns, min_peak, fleet_gate.goodput,
-                 min_goodput, gate_ratio, min_ratio);
-  }
-  return 0;
+  report.Set("single_engine", single_engine ? 1 : 0);
+  report.Set("threads", threads);
+  report.Set("peak_concurrent_conns", static_cast<double>(peak_conns));
+  report.Set("gate_rate", rates[kGateIdx]);
+  report.Set("fleet_vs_legacy" + RateName(rates[kGateIdx]) + ".goodput_ratio", gate_ratio);
+  return report.Finish();
 }

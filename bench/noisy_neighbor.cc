@@ -13,19 +13,20 @@
 // come from the per-tenant trace tracks: every env's `run` spans are summed
 // from the trace ring, the same attribution a Perfetto view of the run shows.
 //
-// Stdout is the human-readable table (deterministic, golden-diffable). A JSON
-// dump goes to BENCH_noisy_neighbor.json (--out FILE overrides). With
+// Stdout is the human-readable table (deterministic, golden-diffable). The
+// metrics go to BENCH_noisy_neighbor.json (--out FILE overrides). With
 // `--check bench/noisy_neighbor_baseline.json` the binary exits nonzero
 // unless, under stride, victim goodput and p99 hold their committed bounds
-// while round-robin still demonstrates the starvation this PR exists to fix.
+// while round-robin still demonstrates the starvation stride exists to fix
+// (bench/report.h).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <algorithm>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/report.h"
 #include "hw/machine.h"
 #include "hw/nic.h"
 #include "sim/check.h"
@@ -270,34 +271,10 @@ TenantStats RunLane(bool stride) {
   return s;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON dependency.
-bool JsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_noisy_neighbor.json";
-  std::string check_path;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check_path = argv[i + 1];
-    }
-  }
-
+  bench::Report report("noisy_neighbor", "BENCH_noisy_neighbor.json", argc, argv);
   bench::PrintHeader("noisy neighbor: per-tenant goodput/latency, stride vs round-robin");
   std::printf("victims %d x %u tickets, flooder %d x %u tickets, %llu epochs of %.1f ms\n\n",
               kVictims, kVictimTickets, kFloodWorkers, kFloodTickets,
@@ -319,67 +296,15 @@ int main(int argc, char** argv) {
   std::printf("\nvictim p99: %.2f ms under stride vs %.2f ms under round-robin (%.0fx)\n",
               st.p99_ms, rr.p99_ms, rr.p99_ms / st.p99_ms);
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"noisy_neighbor\",\n");
-  std::fprintf(f,
-               "  \"stride\": {\"goodput_frac\": %.4f, \"p50_ms\": %.3f, \"p99_ms\": "
-               "%.3f, \"victim_cpu_frac\": %.3f, \"flood_cpu_frac\": %.3f, "
-               "\"pressure_revokes\": %llu},\n",
-               st.goodput_frac, st.p50_ms, st.p99_ms, st.victim_cpu_frac,
-               st.flood_cpu_frac, static_cast<unsigned long long>(st.pressure_revokes));
-  std::fprintf(f,
-               "  \"round_robin\": {\"goodput_frac\": %.4f, \"p50_ms\": %.3f, "
-               "\"p99_ms\": %.3f, \"victim_cpu_frac\": %.3f, \"flood_cpu_frac\": %.3f, "
-               "\"pressure_revokes\": %llu}\n",
-               rr.goodput_frac, rr.p50_ms, rr.p99_ms, rr.victim_cpu_frac,
-               rr.flood_cpu_frac, static_cast<unsigned long long>(rr.pressure_revokes));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-
-  if (!check_path.empty()) {
-    FILE* b = std::fopen(check_path.c_str(), "r");
-    if (b == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(b);
-    double min_goodput = 0, max_p99 = 0, min_rr_p99 = 0;
-    if (!JsonNumber(text, "min_stride_goodput_frac", &min_goodput) ||
-        !JsonNumber(text, "max_stride_p99_ms", &max_p99) ||
-        !JsonNumber(text, "min_round_robin_p99_ms", &min_rr_p99)) {
-      std::fprintf(stderr, "baseline %s missing required keys\n", check_path.c_str());
-      return 1;
-    }
-    if (st.goodput_frac < min_goodput) {
-      std::fprintf(stderr, "FAIL: stride goodput %.3f below baseline floor %.3f\n",
-                   st.goodput_frac, min_goodput);
-      return 1;
-    }
-    if (st.p99_ms > max_p99) {
-      std::fprintf(stderr, "FAIL: stride victim p99 %.2f ms above baseline cap %.2f ms\n",
-                   st.p99_ms, max_p99);
-      return 1;
-    }
-    if (rr.p99_ms < min_rr_p99) {
-      std::fprintf(stderr,
-                   "FAIL: round-robin victim p99 %.2f ms below %.2f ms: the control "
-                   "lane stopped demonstrating the starvation stride exists to fix\n",
-                   rr.p99_ms, min_rr_p99);
-      return 1;
-    }
-    std::fprintf(stderr, "baseline check passed (%.3f >= %.3f, %.2f <= %.2f, %.2f >= %.2f)\n",
-                 st.goodput_frac, min_goodput, st.p99_ms, max_p99, rr.p99_ms, min_rr_p99);
-  }
-  return 0;
+  auto lane = [&report](const std::string& p, const TenantStats& ts) {
+    report.Set(p + ".goodput_frac", ts.goodput_frac);
+    report.Set(p + ".p50_ms", ts.p50_ms);
+    report.Set(p + ".p99_ms", ts.p99_ms);
+    report.Set(p + ".victim_cpu_frac", ts.victim_cpu_frac);
+    report.Set(p + ".flood_cpu_frac", ts.flood_cpu_frac);
+    report.Set(p + ".pressure_revokes", static_cast<double>(ts.pressure_revokes));
+  };
+  lane("stride", st);
+  lane("round_robin", rr);
+  return report.Finish();
 }

@@ -16,19 +16,19 @@
 // argument; Welsh & Culler, "Adaptive Overload Control for Busy Internet
 // Servers", USITS 2003).
 //
-// Stdout is the human-readable table (deterministic, golden-diffable). A JSON
-// dump goes to BENCH_overload.json (--out FILE overrides). With
-// `--check bench/overload_baseline.json` the binary exits nonzero unless the
-// with-shedding goodput at 2x capacity stays above the committed floor and the
-// unprotected server demonstrably collapses — the CI acceptance gate.
+// Stdout is the human-readable table (deterministic, golden-diffable). The
+// metrics go to BENCH_overload_sweep.json (--out FILE overrides). With
+// `--check bench/overload_sweep_baseline.json` the binary exits nonzero unless
+// the with-shedding goodput at 2x capacity stays above the committed floor and
+// the unprotected server demonstrably collapses — the CI acceptance gate
+// (bench/report.h).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/http.h"
 #include "bench/common.h"
+#include "bench/report.h"
 #include "hw/nic.h"
 #include "sim/engine.h"
 
@@ -126,38 +126,15 @@ RunResult RunOffered(double offered_per_sec, double sim_seconds, bool shedding) 
   return r;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON dependency.
-bool JsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_overload.json";
-  std::string check_path;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check_path = argv[i + 1];
-    }
-  }
-
+  bench::Report report("overload_sweep", "BENCH_overload_sweep.json", argc, argv);
   bench::PrintHeader("overload sweep: offered load vs goodput, shedding off/on");
 
   const double sim_seconds = 4.0;
   const double capacity = MeasureCapacity(2.0);
+  report.Set("capacity_req_per_s", capacity);
   std::printf("peak capacity (closed-loop, %zu-byte doc): %.0f req/s\n\n", kDocBytes,
               capacity);
   std::printf("%-8s %-9s | %-31s | %-31s\n", "", "", "shedding off", "shedding on");
@@ -165,9 +142,11 @@ int main(int argc, char** argv) {
               "offered", "goodput", "fail/s", "p50ms", "p99ms", "goodput", "shed/s",
               "p50ms", "p99ms");
 
+  // Metric names carry the load multiple: "on.x2.00.goodput_frac" is goodput
+  // at 2x capacity with shedding, as a fraction of peak.
   const double multiples[] = {0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0};
-  std::vector<double> mult_v;
-  std::vector<RunResult> off_v, on_v;
+  double frac_on_2x = 0;
+  double frac_off_2x = 0;
   for (double m : multiples) {
     const double offered = m * capacity;
     const RunResult off = RunOffered(offered, sim_seconds, /*shedding=*/false);
@@ -175,85 +154,26 @@ int main(int argc, char** argv) {
     std::printf("%-8.2f %-9.0f | %-9.0f %-6.0f %-7.1f %-7.1f | %-9.0f %-6.0f %-7.1f %-7.1f\n",
                 m, offered, off.goodput, off.failed, off.p50_ms, off.p99_ms,
                 on.goodput, on.shed, on.p50_ms, on.p99_ms);
-    mult_v.push_back(m);
-    off_v.push_back(off);
-    on_v.push_back(on);
-  }
-
-  // Acceptance quantities: goodput at 2x offered load as a fraction of peak.
-  double frac_on_2x = 0;
-  double frac_off_2x = 0;
-  for (size_t i = 0; i < mult_v.size(); ++i) {
-    if (mult_v[i] == 2.0) {
-      frac_on_2x = on_v[i].goodput / capacity;
-      frac_off_2x = off_v[i].goodput / capacity;
+    char x[16];
+    std::snprintf(x, sizeof(x), "x%.2f", m);
+    const std::string pt = x;
+    report.Set(pt + ".offered", offered);
+    report.Set("off." + pt + ".goodput", off.goodput);
+    report.Set("off." + pt + ".goodput_frac", off.goodput / capacity);
+    report.Set("off." + pt + ".failed", off.failed);
+    report.Set("off." + pt + ".p50_ms", off.p50_ms);
+    report.Set("off." + pt + ".p99_ms", off.p99_ms);
+    report.Set("on." + pt + ".goodput", on.goodput);
+    report.Set("on." + pt + ".goodput_frac", on.goodput / capacity);
+    report.Set("on." + pt + ".shed", on.shed);
+    report.Set("on." + pt + ".p50_ms", on.p50_ms);
+    report.Set("on." + pt + ".p99_ms", on.p99_ms);
+    if (m == 2.0) {
+      frac_on_2x = on.goodput / capacity;
+      frac_off_2x = off.goodput / capacity;
     }
   }
   std::printf("\ngoodput at 2.0x capacity: %.0f%% of peak with shedding, %.0f%% without\n",
               frac_on_2x * 100, frac_off_2x * 100);
-
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"overload_sweep\",\n");
-  std::fprintf(f, "  \"capacity_req_per_s\": %.1f,\n", capacity);
-  std::fprintf(f, "  \"goodput_frac_at_2x_with_shedding\": %.4f,\n", frac_on_2x);
-  std::fprintf(f, "  \"goodput_frac_at_2x_without_shedding\": %.4f,\n", frac_off_2x);
-  std::fprintf(f, "  \"points\": [\n");
-  for (size_t i = 0; i < mult_v.size(); ++i) {
-    const RunResult& off = off_v[i];
-    const RunResult& on = on_v[i];
-    std::fprintf(f,
-                 "    {\"multiple\": %.2f, \"offered\": %.1f, "
-                 "\"off\": {\"goodput\": %.1f, \"failed\": %.1f, \"p50_ms\": %.2f, "
-                 "\"p99_ms\": %.2f}, "
-                 "\"on\": {\"goodput\": %.1f, \"shed\": %.1f, \"p50_ms\": %.2f, "
-                 "\"p99_ms\": %.2f}}%s\n",
-                 mult_v[i], mult_v[i] * capacity, off.goodput, off.failed, off.p50_ms,
-                 off.p99_ms, on.goodput, on.shed, on.p50_ms, on.p99_ms,
-                 i + 1 < mult_v.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-
-  if (!check_path.empty()) {
-    FILE* b = std::fopen(check_path.c_str(), "r");
-    if (b == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(b);
-    double min_on = 0;
-    double max_off = 0;
-    if (!JsonNumber(text, "min_goodput_frac_at_2x_with_shedding", &min_on) ||
-        !JsonNumber(text, "max_goodput_frac_at_2x_without_shedding", &max_off)) {
-      std::fprintf(stderr, "baseline %s missing required keys\n", check_path.c_str());
-      return 1;
-    }
-    if (frac_on_2x < min_on) {
-      std::fprintf(stderr,
-                   "FAIL: goodput at 2x with shedding %.2f below baseline floor %.2f\n",
-                   frac_on_2x, min_on);
-      return 1;
-    }
-    if (frac_off_2x > max_off) {
-      std::fprintf(stderr,
-                   "FAIL: unprotected server no longer collapses (%.2f > %.2f): "
-                   "the without-shedding lane stopped demonstrating the failure mode\n",
-                   frac_off_2x, max_off);
-      return 1;
-    }
-    std::fprintf(stderr, "baseline check passed (%.2f >= %.2f, %.2f <= %.2f)\n",
-                 frac_on_2x, min_on, frac_off_2x, max_off);
-  }
-  return 0;
+  return report.Finish();
 }

@@ -14,10 +14,10 @@
 //   global_fig4      a scaled-down Figure 4 job mix: the end-to-end sanity number
 //                    (simulated seconds per wall second)
 //
-// Results go to BENCH_simperf.json (override with --out FILE). SIMPERF_SCALE=<f>
-// scales workload sizes. See docs/PERFORMANCE.md for how to read the numbers.
+// Results go to BENCH_simperf.json (override with --out FILE); `--check FILE`
+// gates them against bench/simperf_baseline.json (bench/report.h). See
+// docs/PERFORMANCE.md for how to read the numbers.
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <string>
@@ -26,6 +26,7 @@
 #include <thread>
 
 #include "bench/global_common.h"
+#include "bench/report.h"
 #include "cluster/topology.h"
 #include "hw/disk.h"
 #include "net/packet.h"
@@ -164,9 +165,7 @@ WorkloadResult PredicateStorm(uint32_t n_envs, uint32_t rounds) {
         xok::WakeupPredicate p;
         p.program = EqProgram(r);
         p.live_window = kernel.RegionBytes(rids[i]);
-#ifdef EXO_XOK_PREDICATE_WATCHES
         p.watches.push_back(xok::WatchSpec{xok::WatchKind::kRegion, rids[i]});
-#endif
         kernel.SysSleep(std::move(p));
       }
     });
@@ -371,17 +370,16 @@ struct ClusterScaleResult {
   uint32_t parallel_threads = 0;
   uint64_t cross_messages = 0;
   uint64_t rounds = 0;
-  bool equivalent = false;  // byte-identical merged counters across lanes
 };
 
-ClusterScaleResult ClusterScale(double scale) {
-  const auto chain = static_cast<uint32_t>(64 * scale);
+ClusterScaleResult ClusterScale() {
+  constexpr uint32_t kChain = 64;
   const sim::Cycles sim_cycles = 20'000'000;  // 100 ms simulated
   const uint32_t hw_threads = std::max(1u, std::thread::hardware_concurrency());
   const uint32_t par = std::min(4u, hw_threads);
 
-  ClusterScaleRun t1 = RunClusterScaleOnce(1, chain, sim_cycles);
-  ClusterScaleRun tn = RunClusterScaleOnce(par, chain, sim_cycles);
+  ClusterScaleRun t1 = RunClusterScaleOnce(1, kChain, sim_cycles);
+  ClusterScaleRun tn = RunClusterScaleOnce(par, kChain, sim_cycles);
   EXO_CHECK_EQ(t1.ops, tn.ops);
   EXO_CHECK(t1.counters == tn.counters);  // determinism contract, enforced
 
@@ -394,7 +392,6 @@ ClusterScaleResult ClusterScale(double scale) {
   r.parallel_threads = par;
   r.cross_messages = t1.cross_messages;
   r.rounds = t1.rounds;
-  r.equivalent = t1.counters == tn.counters;
   return r;
 }
 
@@ -449,78 +446,52 @@ void PrintResult(const WorkloadResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_simperf.json";
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::string(argv[i]) == "--out") {
-      out_path = argv[i + 1];
-    }
-  }
-  double scale = 1.0;
-  if (const char* s = std::getenv("SIMPERF_SCALE")) {
-    scale = std::atof(s);
-    if (scale <= 0) {
-      scale = 1.0;
-    }
-  }
-
-#ifdef EXO_XOK_PREDICATE_WATCHES
-  const bool indexed = true;
-#else
-  const bool indexed = false;
-#endif
-
+  exo::bench::Report report("simperf", "BENCH_simperf.json", argc, argv);
   exo::bench::PrintHeader("simperf: simulator hot-path wall-clock throughput");
-  std::printf("scale=%.2f indexed_predicates=%s\n\n", scale, indexed ? "yes" : "no");
 
   std::vector<WorkloadResult> results;
-  results.push_back(EventChurn(static_cast<uint64_t>(150000 * scale)));
+  results.push_back(EventChurn(150000));
   PrintResult(results.back());
-  results.push_back(TraceOverhead(static_cast<uint64_t>(150000 * scale)));
+  results.push_back(TraceOverhead(150000));
   PrintResult(results.back());
-  results.push_back(PredicateStorm(static_cast<uint32_t>(1000 * scale), 10));
+  results.push_back(PredicateStorm(1000, 10));
   PrintResult(results.back());
-  results.push_back(DiskDeepQueue(8, static_cast<uint32_t>(3000 * scale)));
+  results.push_back(DiskDeepQueue(8, 3000));
   PrintResult(results.back());
-  results.push_back(GlobalFig4(std::max(4, static_cast<int>(16 * scale)), 4));
+  results.push_back(GlobalFig4(16, 4));
   PrintResult(results.back());
-  const ClusterScaleResult cs = ClusterScale(scale);
+  const ClusterScaleResult cs = ClusterScale();
   results.push_back(cs.serial);
   PrintResult(results.back());
+  const uint32_t hw_threads = std::thread::hardware_concurrency();
   std::printf("%-18s %12s threads=%u speedup=%.2fx rounds=%llu cross_msgs=%llu "
-              "equivalent=%s hw_threads=%u\n",
+              "hw_threads=%u\n",
               "", "", cs.parallel_threads, cs.speedup,
               static_cast<unsigned long long>(cs.rounds),
-              static_cast<unsigned long long>(cs.cross_messages),
-              cs.equivalent ? "yes" : "NO", std::thread::hardware_concurrency());
+              static_cast<unsigned long long>(cs.cross_messages), hw_threads);
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  for (const WorkloadResult& r : results) {
+    const double ops = static_cast<double>(r.ops);
+    report.Set(r.name + ".ops", ops);
+    report.Set(r.name + ".wall_s", r.wall_s);
+    report.Set(r.name + ".events_per_sec", ops / r.wall_s);
+    report.Set(r.name + ".sim_s", r.sim_s);
+    report.Set(r.name + ".sim_s_per_wall_s", r.sim_s / r.wall_s);
+    report.Set(r.name + ".predicate_evals", static_cast<double>(r.predicate_evals));
+    report.Set(r.name + ".predicate_skips", static_cast<double>(r.predicate_skips));
   }
-  std::fprintf(f, "{\n  \"bench\": \"simperf\",\n  \"scale\": %.3f,\n", scale);
-  std::fprintf(f, "  \"indexed_predicates\": %s,\n", indexed ? "true" : "false");
-  std::fprintf(f, "  \"hw_threads\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"cluster\": {\"threads\": %u, \"speedup\": %.3f, "
-               "\"equivalent\": %s, \"rounds\": %llu, \"cross_messages\": %llu},\n",
-               cs.parallel_threads, cs.speedup, cs.equivalent ? "true" : "false",
-               static_cast<unsigned long long>(cs.rounds),
-               static_cast<unsigned long long>(cs.cross_messages));
-  std::fprintf(f, "  \"workloads\": {\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const WorkloadResult& r = results[i];
-    std::fprintf(f,
-                 "    \"%s\": {\"ops\": %llu, \"wall_s\": %.6f, \"events_per_sec\": "
-                 "%.1f, \"sim_s\": %.6f, \"sim_s_per_wall_s\": %.3f, "
-                 "\"predicate_evals\": %llu, \"predicate_skips\": %llu}%s\n",
-                 r.name.c_str(), static_cast<unsigned long long>(r.ops), r.wall_s,
-                 static_cast<double>(r.ops) / r.wall_s, r.sim_s, r.sim_s / r.wall_s,
-                 static_cast<unsigned long long>(r.predicate_evals),
-                 static_cast<unsigned long long>(r.predicate_skips),
-                 i + 1 < results.size() ? "," : "");
+  // threads=1 vs N equivalence is not a metric: ClusterScale EXO_CHECKs it.
+  report.Set("hw_threads", hw_threads);
+  report.Set("cluster.threads", cs.parallel_threads);
+  report.Set("cluster.speedup", cs.speedup);
+  report.Set("cluster.rounds", static_cast<double>(cs.rounds));
+  report.Set("cluster.cross_messages", static_cast<double>(cs.cross_messages));
+  // The speedup floor needs 4 threads on 4 hardware threads to mean anything.
+  if (cs.parallel_threads >= 4 && hw_threads >= 4) {
+    report.Set("cluster.speedup_at_4_threads", cs.speedup);
+  } else {
+    report.NotMeasured("cluster.speedup_at_4_threads",
+                       "hw_threads=" + std::to_string(hw_threads));
   }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  return report.Finish();
 }

@@ -61,7 +61,8 @@ struct CostModel {
   Cycles quantum = 2'000'000;
   // Per-pick bookkeeping of the stride scheduler (pass update + ordered-queue
   // reinsert). Round-robin mode charges nothing extra, which is part of how
-  // EXO_SCHED_STRIDE=0 stays bit-identical to the legacy scheduler.
+  // XokKernel::SetStrideScheduling(false) stays bit-identical to the legacy
+  // scheduler.
   Cycles stride_pick = 60;
 
   // Interrupt servicing overhead (disk or NIC completion).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "udf/verifier.h"
@@ -38,13 +37,6 @@ XokKernel::XokKernel(hw::Machine* machine) : machine_(machine) {
   wake_jump_counter_ = machine_->counters().Handle("sched.wake_pass_jumps");
   pressure_revoke_counter_ = machine_->counters().Handle("xok.pressure_revokes");
   pressure_abort_counter_ = machine_->counters().Handle("xok.pressure_aborts");
-  // Compatibility switch: EXO_SCHED_STRIDE=0 recovers the legacy round-robin
-  // rotation bit-exactly (same idiom as EXO_DISK_INTEGRITY in hw/machine.h).
-  const char* stride = std::getenv("EXO_SCHED_STRIDE");
-  stride_on_ = !(stride != nullptr && stride[0] == '0' && stride[1] == '\0');
-  // EXO_DEMUX_CACHE=0 recovers the linear per-packet filter walk.
-  const char* demux = std::getenv("EXO_DEMUX_CACHE");
-  demux_cache_on_ = !(demux != nullptr && demux[0] == '0' && demux[1] == '\0');
   tracer_ = &machine_->tracer();
   trace_track_ = tracer_->NewTrack("kernel");
   syscall_hist_ = tracer_->Histogram("syscall.latency_cycles");
@@ -326,7 +318,7 @@ Env* XokKernel::PickNext() {
   }
 
   if (!stride_on_) {
-    // Legacy round-robin rotation, preserved verbatim for EXO_SCHED_STRIDE=0:
+    // Legacy round-robin rotation, preserved verbatim for SetStrideScheduling(false):
     // the fig2–5 goldens depend on this exact pop/push order.
     for (size_t n = run_queue_.size(); n > 0; --n) {
       EnvId id = run_queue_.front();

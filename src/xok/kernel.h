@@ -2,8 +2,8 @@
 //
 // Xok multiplexes the physical resources of one simulated machine: CPU time
 // (proportional-share stride scheduling over per-env quota tickets, with
-// begin/end-of-slice upcalls and directed yield; EXO_SCHED_STRIDE=0 recovers
-// the paper-faithful round-robin quantum list bit-exactly), physical memory
+// begin/end-of-slice upcalls and directed yield; SetStrideScheduling(false)
+// recovers the paper-faithful round-robin quantum list bit-exactly), physical memory
 // (explicit frame allocation guarded by capabilities; page tables updated only through
 // system calls), the network (dynamic packet filters demultiplex frames into per-
 // filter packet rings), plus the protected-sharing primitives of Sec. 3.3: software
@@ -219,10 +219,9 @@ class XokKernel {
 
   // ---- Proportional-share scheduling + memory pressure ----
 
-  // Whether the stride scheduler is active. Defaults to on; the
-  // EXO_SCHED_STRIDE=0 environment switch (read once at construction) or
+  // Whether the stride scheduler is active. Defaults to on;
   // SetStrideScheduling(false) recovers the legacy round-robin rotation
-  // bit-exactly, which is what keeps the fig2–5 goldens byte-identical.
+  // bit-exactly.
   bool stride_scheduling() const { return stride_on_; }
   // Host-only override (benches compare both modes in one process). Rebuilds
   // the stride order from scratch, so it is legal at any host-context point.
@@ -316,9 +315,9 @@ class XokKernel {
   [[nodiscard]] Result<hw::Packet> SysRingConsume(FilterId id, CredIndex cred);
   const PacketFilter* Filter(FilterId id) const;  // exposed (predicate windows)
 
-  // Whether the demux flow cache is active. Defaults to on; EXO_DEMUX_CACHE=0
-  // (read once at construction) or SetDemuxCache(false) recovers the linear
-  // filter walk for every packet. Host-only toggle; flushes the cache.
+  // Whether the demux flow cache is active. Defaults to on; SetDemuxCache(false)
+  // recovers the linear filter walk for every packet. Host-only toggle; flushes
+  // the cache.
   bool demux_cache() const { return demux_cache_on_; }
   void SetDemuxCache(bool on) {
     demux_cache_on_ = on;

@@ -1,6 +1,7 @@
 // Cluster subsystem: conservative-horizon parallel engine, cross-shard links,
 // topology wiring, and the determinism contract (same seed => bit-identical
 // output at any thread count).
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -264,7 +265,8 @@ std::string RunBalancerWorkload(uint32_t threads, uint64_t* forwarded,
   tc.machine.disks.clear();
   cluster::Topology topo(tc);
 
-  uint64_t echo_count = 0;
+  // Both servers' handlers bump this, from different shard threads.
+  std::atomic<uint64_t> echo_count = 0;
   for (uint32_t k = 0; k < tc.servers; ++k) {
     hw::Machine& srv = topo.server(k);
     srv.tracer().Enable();

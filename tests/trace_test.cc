@@ -1,6 +1,7 @@
 // Tests for exo::trace: the record ring, the latency histogram, the exporters,
 // and the end-to-end determinism contract (two identical traced runs produce
-// byte-identical dumps; an attached-but-disabled tracer stores nothing).
+// byte-identical dumps; an attached-but-disabled tracer stores nothing). Also
+// the bench report-and-gate module the CI gates run on (bench/report.h).
 #include "trace/trace.h"
 
 #include <gtest/gtest.h>
@@ -8,12 +9,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/report.h"
 #include "sim/fault.h"
 
 namespace exo {
@@ -403,6 +407,79 @@ TEST(TraceDeterminism, DisabledTracerStoresNothing) {
   EXPECT_FALSE(machine.tracer().active());
   EXPECT_EQ(machine.tracer().emitted(), 0u);
   EXPECT_EQ(machine.tracer().dropped(), 0u);
+}
+
+// ---- Bench report and baseline gate ----
+
+TEST(BenchReport, GateChecksEveryBoundAndRejectsBadBaselines) {
+  const std::string dir = ::testing::TempDir();
+  auto baseline = [&dir](const std::string& name, const std::string& body) {
+    const std::string path = dir + "/report_test_" + name + ".json";
+    std::ofstream(path) << body;
+    return path;
+  };
+  bench::Report r("demo", dir + "/report_test_out.json");
+  r.Set("lane.goodput", 0.94);
+  r.Set("lane.p99_ms", 1.5);
+  r.NotMeasured("cluster.speedup", "hw_threads=2");
+  EXPECT_NE(r.Json().find("\"lane.goodput\": 0.94"), std::string::npos);
+  EXPECT_NE(r.Json().find("\"cluster.speedup\": \"hw_threads=2\""), std::string::npos);
+
+  std::string log;
+  EXPECT_TRUE(r.Check(baseline("pass", R"({"bench": "demo", "note": "n",
+      "min_lane.goodput": 0.70, "max_lane.p99_ms": 2.0})"),
+                      &log));
+  EXPECT_NE(log.find("min_lane.goodput: 0.94 >= 0.7 pass"), std::string::npos) << log;
+  EXPECT_NE(log.find("max_lane.p99_ms: 1.5 <= 2 pass"), std::string::npos) << log;
+
+  log.clear();
+  EXPECT_FALSE(r.Check(baseline("fail_min", R"({"min_lane.goodput": 0.95})"), &log));
+  EXPECT_NE(log.find("min_lane.goodput: 0.94 >= 0.95 FAIL"), std::string::npos) << log;
+  log.clear();
+  EXPECT_FALSE(r.Check(baseline("fail_max", R"({"max_lane.p99_ms": 1.0})"), &log));
+  EXPECT_NE(log.find("max_lane.p99_ms: 1.5 <= 1 FAIL"), std::string::npos) << log;
+
+  // Every bound is evaluated and printed, even after one fails.
+  log.clear();
+  EXPECT_FALSE(r.Check(baseline("unreported", R"({"min_lane.goodputt": 0.5,
+      "max_lane.p99_ms": 2.0})"),
+                       &log));
+  EXPECT_NE(log.find("min_lane.goodputt: FAIL (metric not reported)"), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("max_lane.p99_ms: 1.5 <= 2 pass"), std::string::npos) << log;
+
+  log.clear();
+  EXPECT_TRUE(r.Check(baseline("skipped", R"({"min_cluster.speedup": 2.0})"), &log));
+  EXPECT_NE(log.find("min_cluster.speedup: skipped (hw_threads=2)"), std::string::npos)
+      << log;
+
+  for (const char* bad : {R"({"floor_lane.goodput": 0.5})", R"({"min_lane.goodput": "x"})",
+                          R"({"min_lane.goodput": 0.5, "min_lane.goodput": 0.6})",
+                          R"({"min_lane.goodput": 0.5)", R"({"bench": "other"})"}) {
+    log.clear();
+    EXPECT_FALSE(r.Check(baseline("bad", bad), &log)) << bad;
+    EXPECT_EQ(log.rfind("FAIL: ", 0), 0u) << bad << " -> " << log;
+  }
+  log.clear();
+  EXPECT_FALSE(r.Check(dir + "/report_test_missing.json", &log));
+  EXPECT_NE(log.find("cannot read baseline"), std::string::npos) << log;
+
+  // Every committed baseline parses, so a typo in a key fails here, not only
+  // in the release-perf gate.
+  int committed = 0;
+  for (const auto& e : std::filesystem::directory_iterator(EXO_SOURCE_DIR "/bench")) {
+    const std::string name = e.path().filename().string();
+    if (name.size() > 14 && name.compare(name.size() - 14, 14, "_baseline.json") == 0) {
+      std::vector<bench::Bound> bounds;
+      std::string bench_name, error;
+      EXPECT_TRUE(bench::LoadBaseline(e.path().string(), &bounds, &bench_name, &error))
+          << error;
+      EXPECT_FALSE(bounds.empty()) << name;
+      EXPECT_FALSE(bench_name.empty()) << name;
+      ++committed;
+    }
+  }
+  EXPECT_EQ(committed, 5);
 }
 
 }  // namespace
