@@ -54,7 +54,7 @@ void ShardLink::AttachTracerFor(const hw::Nic* sender, trace::Tracer* tracer,
   }
 }
 
-sim::Cycles ShardLink::Send(hw::Nic* from, hw::Packet p) {
+void ShardLink::Send(hw::Nic* from, hw::Packet p) {
   EXO_CHECK(from == a_ || from == b_);
   const bool from_a = from == a_;
   hw::Nic* to = from_a ? b_ : a_;
@@ -85,7 +85,7 @@ sim::Cycles ShardLink::Send(hw::Nic* from, hw::Packet p) {
   if (ds.faults != nullptr) {
     switch (ds.faults->NextWireFate(p.bytes.size())) {
       case sim::FaultInjector::WireFate::kDrop:
-        return dir.busy_until;  // wire time consumed, frame never crosses
+        return;  // wire time consumed, frame never crosses
       case sim::FaultInjector::WireFate::kCorrupt:
         p.bytes[ds.faults->CorruptionOffset()] ^= 0xff;
         break;
@@ -116,17 +116,15 @@ sim::Cycles ShardLink::Send(hw::Nic* from, hw::Packet p) {
   cluster_->Post(dst, Cluster::CrossMsg{arrival, src,
                                         cluster_->shards_[src]->next_msg_seq++, to,
                                         std::move(p)});
-  return dir.busy_until;
 }
 
 Cluster::Cluster(const ClusterOptions& options)
     : threads_(options.threads == 0 ? 1 : options.threads), seed_(options.seed) {}
 
-uint32_t Cluster::AddShard(std::string name) {
+uint32_t Cluster::AddShard() {
   EXO_CHECK(!running_);
   auto s = std::make_unique<Shard>();
   s->engine = std::make_unique<sim::Engine>();
-  s->name = std::move(name);
   shards_.push_back(std::move(s));
   return static_cast<uint32_t>(shards_.size() - 1);
 }

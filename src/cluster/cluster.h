@@ -70,7 +70,7 @@ class Cluster;
 // ...For variants, not the base-class setters, on cross-shard links).
 class ShardLink : public hw::Link {
  public:
-  sim::Cycles Send(hw::Nic* from, hw::Packet p) override;
+  void Send(hw::Nic* from, hw::Packet p) override;
   sim::Engine* engine_for(const hw::Nic* side) const override;
 
   sim::Cycles latency_cycles() const { return latency_cycles_; }
@@ -123,10 +123,9 @@ class Cluster {
 
   // Creates a shard (one event queue + clock). Shards and links must be set up
   // before the first Run/RunUntil.
-  uint32_t AddShard(std::string name);
+  uint32_t AddShard();
   size_t num_shards() const { return shards_.size(); }
   sim::Engine& engine(uint32_t shard) { return *shards_[shard]->engine; }
-  const std::string& shard_name(uint32_t shard) const { return shards_[shard]->name; }
 
   uint64_t seed() const { return seed_; }
   uint64_t DeriveSeed(uint64_t stream) const {
@@ -169,7 +168,6 @@ class Cluster {
 
   struct Shard {
     std::unique_ptr<sim::Engine> engine;
-    std::string name;
     uint64_t next_msg_seq = 1;
     uint64_t messages_in = 0;
     sim::Cycles next_event = kNever;

@@ -34,7 +34,7 @@ Topology::Topology(const TopologyConfig& config)
       (config_.front_end_lb ? 1 : 0) + config_.servers + config_.clients;
   const uint32_t shards = (total + config_.machines_per_shard - 1) / config_.machines_per_shard;
   for (uint32_t s = 0; s < shards; ++s) {
-    cluster_.AddShard("shard" + std::to_string(s));
+    cluster_.AddShard();
   }
 
   for (uint32_t id = 0; id < total; ++id) {

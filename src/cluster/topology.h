@@ -39,10 +39,9 @@ namespace exo::cluster {
 // and failover"): the balancer probes each backend's NIC firmware on a
 // seeded-jitter interval, ejects a backend after `fall` consecutive missed
 // replies (evicting its pinned flows), and readmits it after `rise`
-// consecutive successes. Disabled by default — an unarmed topology schedules
-// no probe events and stays byte-identical to the pre-failover behavior.
+// consecutive successes. Off until Topology::ArmHealthChecks — an unarmed
+// topology schedules no probe events.
 struct HealthCheckConfig {
-  bool enabled = false;
   double interval_us = 2000.0;  // mean per-backend probe interval
   double timeout_us = 1000.0;   // reply deadline per probe
   uint32_t fall = 3;            // consecutive misses before ejection

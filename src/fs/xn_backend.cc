@@ -248,7 +248,7 @@ hw::BlockId XnBackend::FirstDataBlock() const { return xn_->FirstDataBlock(); }
 uint32_t XnBackend::NumBlocks() const { return xn_->NumBlocks(); }
 
 Result<hw::BlockId> XnBackend::CreateRoot(const std::string& name, uint32_t tmpl) {
-  auto r = xn_->RegisterRoot(name, tmpl, temporary_);
+  auto r = xn_->RegisterRoot(name, tmpl, /*temporary=*/false);
   if (!r.ok()) {
     return r.status();
   }

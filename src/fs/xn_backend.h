@@ -60,8 +60,6 @@ class XnBackend : public FsBackend {
 
   xn::Xn& xn() { return *xn_; }
   const xn::Caps& creds() const { return creds_; }
-  // Marks new roots as temporary XN file systems (memory file systems, Sec. 4.3.2).
-  void set_temporary(bool t) { temporary_ = t; }
 
  private:
   Result<hw::FrameId> TakeFrame();
@@ -73,7 +71,6 @@ class XnBackend : public FsBackend {
   xn::Caps creds_;
   Blocker blocker_;
   std::function<hw::FrameId()> frame_alloc_;
-  bool temporary_ = false;
 };
 
 }  // namespace exo::fs

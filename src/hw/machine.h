@@ -86,7 +86,11 @@ class Machine {
   // machines never call this, keeping single-machine output byte-identical.
   void SetClusterIdentity(uint32_t id) {
     cluster_id_ = id;
-    const std::string prefix = "m" + std::to_string(id) + ".";
+    // Appended piecewise: GCC 12's -Wrestrict misfires on the inlined
+    // "m" + std::to_string(id) (which inserts at the front of the temporary).
+    std::string prefix = "m";
+    prefix += std::to_string(id);
+    prefix += '.';
     counters_.SetPrefix(prefix);
     tracer_.SetNamePrefix(prefix);
   }
@@ -95,11 +99,11 @@ class Machine {
 
   // ---- Crash/reboot lifecycle ----
   //
-  // Kill models a hard power loss: every NIC goes down (DMA rings cleared,
-  // arrivals drop, transmits refuse), every disk takes a power cut (in-flight
-  // requests torn exactly like the PR-6 crash model), and the kill listeners
-  // run so software layers (TCP stack, HTTP server, kernel envs) can drop
-  // volatile state. The Machine object itself stays alive as a zombie — any
+  // Kill models a hard power loss: every NIC goes down (arrivals drop,
+  // transmits refuse), every disk takes a power cut (in-flight requests torn
+  // exactly like the disk crash model), and the kill listeners run so
+  // software layers (TCP stack, HTTP server, kernel envs) can drop volatile
+  // state. The Machine object itself stays alive as a zombie — any
   // already-scheduled engine events against it must find coherent (empty)
   // state, not freed memory.
   //

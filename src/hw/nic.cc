@@ -15,32 +15,9 @@ bool Nic::Transmit(Packet p) {
     }
     return false;
   }
-  if (tx_slots_ != 0 && tx_in_ring_ >= tx_slots_) {
-    // Ring full: refuse at the door. The frame was never accepted, so this is
-    // backpressure (`nic.rejected`), not loss.
-    ++stats_.tx_rejected;
-    if (rejected_counter_ != nullptr) {
-      ++*rejected_counter_;
-    }
-    if (tracer_ != nullptr && tracer_->enabled(trace::Category::kNet)) {
-      tracer_->Instant(trace::Category::kNet, trace_track_, "nic.tx_reject",
-                       link_->engine_for(this)->now(), p.bytes.size());
-    }
-    return false;
-  }
   ++stats_.tx_packets;
   stats_.tx_bytes += p.bytes.size();
-  if (tx_slots_ != 0) {
-    ++tx_in_ring_;
-    const sim::Cycles done = link_->Send(this, std::move(p));
-    link_->engine_for(this)->ScheduleAt(done, [this] {
-      if (tx_in_ring_ > 0) {
-        --tx_in_ring_;
-      }
-    });
-  } else {
-    link_->Send(this, std::move(p));
-  }
+  link_->Send(this, std::move(p));
   return true;
 }
 
@@ -66,26 +43,9 @@ void Nic::Deliver(Packet p) {
     Transmit(std::move(p));
     return;
   }
-  if (rx_slots_ != 0 && rx_in_ring_ >= rx_slots_) {
-    // Every rx descriptor is held by the host: the frame has nowhere to land.
-    // Unlike a tx refusal the sender already paid for the wire, so this is loss.
-    ++stats_.dropped;
-    ++stats_.rx_overflows;
-    if (dropped_counter_ != nullptr) {
-      ++*dropped_counter_;
-    }
-    if (tracer_ != nullptr && tracer_->enabled(trace::Category::kFault)) {
-      tracer_->Instant(trace::Category::kFault, trace_track_, "nic.rx_overflow",
-                       link_->engine_for(this)->now(), p.bytes.size());
-    }
-    return;
-  }
   ++stats_.rx_packets;
   stats_.rx_bytes += p.bytes.size();
   if (rx_handler_) {
-    if (rx_slots_ != 0) {
-      ++rx_in_ring_;
-    }
     rx_handler_(std::move(p));
   } else {
     ++stats_.dropped;
@@ -95,7 +55,7 @@ void Nic::Deliver(Packet p) {
   }
 }
 
-sim::Cycles Link::Send(Nic* from, Packet p) {
+void Link::Send(Nic* from, Packet p) {
   EXO_CHECK(from == a_ || from == b_);
   Nic* to = from == a_ ? b_ : a_;
   Direction& dir = from == a_ ? dir_ab_ : dir_ba_;
@@ -119,7 +79,7 @@ sim::Cycles Link::Send(Nic* from, Packet p) {
   if (faults_ != nullptr) {
     switch (faults_->NextWireFate(p.bytes.size())) {
       case sim::FaultInjector::WireFate::kDrop:
-        return dir.busy_until;  // wire time was consumed, but the frame never arrives
+        return;  // wire time was consumed, but the frame never arrives
       case sim::FaultInjector::WireFate::kCorrupt:
         p.bytes[faults_->CorruptionOffset()] ^= 0xff;
         break;
@@ -149,7 +109,6 @@ sim::Cycles Link::Send(Nic* from, Packet p) {
     tracer_->Instant(trace::Category::kNet, dir.track, "arrive", arrival, wire_bytes);
   }
   engine_->ScheduleAt(arrival, [to, p = std::move(p)]() mutable { to->Deliver(std::move(p)); });
-  return dir.busy_until;
 }
 
 }  // namespace exo::hw

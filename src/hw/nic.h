@@ -8,7 +8,6 @@
 #define EXO_HW_NIC_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -48,13 +47,12 @@ struct NicStats {
   uint64_t rx_packets = 0;
   uint64_t tx_bytes = 0;
   uint64_t rx_bytes = 0;
-  // Frames lost after the NIC accepted responsibility: rx-ring overflow, or
-  // arrival with no receive handler installed.
+  // Frames lost after the NIC accepted responsibility: arrival while the NIC
+  // is down, or with no receive handler installed.
   uint64_t dropped = 0;
-  // Frames refused at the tx ring (ring full): the host keeps the buffer and
-  // can retry — backpressure, not loss.
+  // Frames refused at transmit because the NIC is down: the host keeps the
+  // buffer — refusal, not loss.
   uint64_t tx_rejected = 0;
-  uint64_t rx_overflows = 0;  // the rx-ring-full subset of `dropped`
 };
 
 class Link;
@@ -71,26 +69,9 @@ class Nic {
     rx_handler_ = std::move(handler);
   }
 
-  // Opt-in DMA ring bounds, in frames. 0 = unbounded (the historic model: the
-  // wire itself is the only queue). With a tx bound, Transmit refuses frames
-  // while `tx_slots` are still serializing — backpressure the host observes.
-  // With an rx bound, arriving frames are dropped while `rx_slots` are held by
-  // the host; the host returns a slot with RxRelease when it has consumed the
-  // frame (e.g. at the TCP stack's rx-processing completion time).
-  void ConfigureRings(uint32_t tx_slots, uint32_t rx_slots) {
-    tx_slots_ = tx_slots;
-    rx_slots_ = rx_slots;
-  }
-  void RxRelease() {
-    if (rx_in_ring_ > 0) {
-      --rx_in_ring_;
-    }
-  }
-  uint32_t rx_in_ring() const { return rx_in_ring_; }
-  uint32_t tx_in_ring() const { return tx_in_ring_; }
-
-  // Queues a frame for transmission on the attached link. Returns false (frame
-  // refused, `nic.rejected`) when a configured tx ring is full.
+  // Queues a frame for transmission on the attached link; the wire itself is
+  // the only queue. Returns false (frame refused, `nic.rejected`) while the
+  // NIC is down.
   bool Transmit(Packet p);
 
   void AttachLink(Link* link) { link_ = link; }
@@ -102,29 +83,12 @@ class Nic {
     dropped_counter_ = counters != nullptr ? counters->Handle("nic.dropped") : nullptr;
   }
 
-  // Attaches a tracer: tx refusals become `net` instants (`nic.tx_reject`),
-  // rx-ring overflows `fault` instants (`nic.rx_overflow`) on the named track.
-  void AttachTracer(trace::Tracer* tracer, const std::string& name) {
-    tracer_ = tracer;
-    if (tracer_ != nullptr) {
-      trace_track_ = tracer_->NewTrack(name);
-    }
-  }
-
   const NicStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = NicStats{}; }
 
-  // Power state. Downing the NIC (machine kill) clears both DMA rings: the
-  // frames they held are gone with the machine's memory. While down, Transmit
-  // refuses (`nic.rejected`) and arrivals drop on the floor (`nic.dropped`) —
-  // the wire itself keeps working, the host on this end does not.
-  void SetUp(bool up) {
-    up_ = up;
-    if (!up_) {
-      tx_in_ring_ = 0;
-      rx_in_ring_ = 0;
-    }
-  }
+  // Power state. While down (machine kill), Transmit refuses (`nic.rejected`)
+  // and arrivals drop on the floor (`nic.dropped`) — the wire itself keeps
+  // working, the host on this end does not.
+  void SetUp(bool up) { up_ = up; }
   bool up() const { return up_; }
 
   // Arms the probe responder: kProbeProto frames are echoed (ips swapped)
@@ -143,16 +107,10 @@ class Nic {
   Link* link_ = nullptr;
   std::function<void(Packet)> rx_handler_;
   NicStats stats_;
-  uint32_t tx_slots_ = 0;
-  uint32_t rx_slots_ = 0;
-  uint32_t tx_in_ring_ = 0;
-  uint32_t rx_in_ring_ = 0;
   bool up_ = true;
   bool probe_responder_ = false;
   sim::Counters::Slot* rejected_counter_ = nullptr;
   sim::Counters::Slot* dropped_counter_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  uint32_t trace_track_ = 0;
 };
 
 // Full-duplex point-to-point wire. Each direction is an independent serialization
@@ -178,11 +136,10 @@ class Link {
     b->AttachLink(this);
   }
 
-  // Serializes a frame onto the wire; returns the serialization-complete time
-  // (when a tx-ring slot, if configured, is handed back to the host).
-  virtual sim::Cycles Send(Nic* from, Packet p);
+  // Serializes a frame onto the wire and schedules its arrival at the far side.
+  virtual void Send(Nic* from, Packet p);
 
-  // The engine carrying `side`'s events (ring bookkeeping, tracer stamps).
+  // The engine carrying `side`'s events (wire serialization, tracer stamps).
   // One engine serves both sides of a plain link; a cross-shard link returns
   // the shard engine that owns that side.
   virtual sim::Engine* engine_for(const Nic* side) const { return engine_; }
@@ -211,8 +168,6 @@ class Link {
   }
 
   sim::Engine* engine() const { return engine_; }
-
-  double utilization_tx_a() const { return 0; }  // reserved for future instrumentation
 
  protected:
   struct Direction {

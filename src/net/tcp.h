@@ -56,18 +56,14 @@ struct TcpProfile {
   sim::Cycles delayed_ack_timeout_us = 2000;
 
   // ---- Retransmission timer ----
-  // `rto_us` is the *initial* retransmission timeout. With `adaptive_rto` (the
-  // default) it is used only until the first RTT sample lands; from then on the
-  // timer follows Jacobson's estimator, RTO = SRTT + max(4*RTTVAR, 1us), clamped
-  // to [rto_min_us, rto_max_us]. Consecutive timeouts on the same connection
-  // double the timer (exponential backoff, capped at rto_max_us) and add a
-  // deterministic jitter in [0, RTO/8] drawn from a per-stack Rng seeded with
-  // `rto_jitter_seed` — two runs with the same seed retransmit at identical
-  // times. With `adaptive_rto = false` the timer is the fixed `rto_us` with no
-  // estimator, no backoff, and no jitter draws: exactly the pre-adaptive
-  // behavior, so historical goldens (fig3) reproduce bit-identically.
+  // `rto_us` is the *initial* retransmission timeout, used only until the first
+  // RTT sample lands; from then on the timer follows Jacobson's estimator,
+  // RTO = SRTT + max(4*RTTVAR, 1us), clamped to [rto_min_us, rto_max_us].
+  // Consecutive timeouts on the same connection double the timer (exponential
+  // backoff, capped at rto_max_us) and add a deterministic jitter in [0, RTO/8]
+  // drawn from a per-stack Rng seeded with `rto_jitter_seed` — two runs with the
+  // same seed retransmit at identical times.
   sim::Cycles rto_us = 50'000;
-  bool adaptive_rto = true;
   sim::Cycles rto_min_us = 5'000;
   sim::Cycles rto_max_us = 4'000'000;
   uint64_t rto_jitter_seed = 0x5eed;
@@ -80,11 +76,6 @@ struct TcpProfile {
   // force-closed after this long — the TIME_WAIT-style reaper that keeps
   // half-closed PCBs from leaking when the peer dies. 0 disables.
   sim::Cycles fin_wait_timeout_us = 1'000'000;
-  // A kSynRcvd connection whose handshake never completes is aborted after this
-  // long, independent of the retransmission budget (which can take seconds to
-  // exhaust under backoff). 0 disables — the default, preserving the historical
-  // RTO-only half-open reaping.
-  sim::Cycles half_open_timeout_us = 0;
 
   uint32_t window_bytes = 48 * 1024;
 };
@@ -105,7 +96,7 @@ struct TcpStats {
   uint64_t rsts_out = 0;          // RST segments emitted (aborts)
   uint64_t rsts_in = 0;           // RST segments received (peer aborts)
   uint64_t syns_shed = 0;         // SYNs dropped by a full listen backlog
-  uint64_t half_open_reaped = 0;  // kSynRcvd conns aborted (handshake never done)
+  uint64_t half_open_reaped = 0;  // kSynRcvd conns aborted by the retransmit budget
   uint64_t fin_wait_reaped = 0;   // kFinWait conns force-closed (peer went silent)
 };
 
@@ -150,17 +141,13 @@ class TcpConn {
 
   State state() const { return state_; }
   IpAddr peer_ip() const { return peer_ip_; }
-  Port peer_port() const { return peer_port_; }
   // True once the connection was torn down abnormally (retry exhaustion, an
   // incoming RST, a reap timeout, or an application Abort) rather than by the
   // FIN handshake. Valid inside and after the on_close callback.
   bool aborted() const { return aborted_; }
-  // Timer introspection (tests, observability). srtt/rttvar are 0 until the
-  // first un-retransmitted segment is acknowledged (Karn's rule).
+  // Timer introspection (tests, observability). srtt is 0 until the first
+  // un-retransmitted segment is acknowledged (Karn's rule).
   sim::Cycles srtt() const { return srtt_; }
-  sim::Cycles rttvar() const { return rttvar_; }
-  uint32_t rto_backoff() const { return backoff_; }
-  uint64_t user_data = 0;  // application scratch (request state machines)
 
  private:
   friend class TcpStack;
@@ -209,8 +196,8 @@ class TcpConn {
   sim::Engine::EventId ack_timer_ = 0;
   sim::Engine::EventId rto_timer_ = 0;
   // Nonzero while this connection sits in the stack's reap-deadline index
-  // (kFinWait silent-peer / kSynRcvd handshake timeout); the value is the
-  // absolute deadline, which is also the entry's key in the index.
+  // (kFinWait silent-peer timeout); the value is the absolute deadline, which
+  // is also the entry's key in the index.
   sim::Cycles reap_deadline_ = 0;
 
   std::function<void(TcpConn*, std::span<const uint8_t>)> on_data_;
@@ -246,9 +233,7 @@ class TcpStack {
                    std::function<void(TcpConn*)> on_established);
 
   // Feed a received frame (from the NIC receive handler or a packet ring drain).
-  // Returns the simulated time the stack is done with the frame (receive-path CPU
-  // completion) so callers managing bounded receive rings know when the slot frees.
-  sim::Cycles Input(const hw::Packet& p);
+  void Input(const hw::Packet& p);
 
   // Application-initiated abort: emits an RST, fires on_close with aborted() set,
   // and reaps the PCB (servers use this to shed connections that blew a deadline).
@@ -274,7 +259,6 @@ class TcpStack {
   // ---- Introspection (soak invariants, tests) ----
   size_t conn_count() const { return conns_.size(); }
   size_t peak_conn_count() const { return peak_conns_; }  // high-water of conn_count
-  size_t reap_index_size() const { return reap_deadlines_.size(); }
   uint32_t half_open_count(Port port) const {
     auto it = half_open_.find(port);
     return it == half_open_.end() ? 0 : it->second;
@@ -322,13 +306,12 @@ class TcpStack {
   void SendPureAck(TcpConn* c);
   void ScheduleDelayedAck(TcpConn* c);
   void PumpSendQueue(TcpConn* c);
-  // Current retransmission timeout for this connection, in cycles. Fixed rto_us
-  // when adaptive_rto is off; otherwise Jacobson + clamp + backoff + jitter.
+  // Current retransmission timeout for this connection, in cycles: Jacobson +
+  // clamp + backoff + jitter.
   sim::Cycles RtoCycles(TcpConn* c);
   void ArmRto(TcpConn* c);
   void OnRto(TcpConn* c);
   void ArmFinWaitReaper(TcpConn* c);
-  void ArmHalfOpenReaper(TcpConn* c);
   // Deadline-ordered reap index (mirrors the kernel's revocation deadline set):
   // one engine timer armed for the earliest deadline replaces a timer per
   // connection — O(log n) arm/cancel and no timer storm at fleet scale.

@@ -45,7 +45,6 @@ class UdpStack {
     d.dst_port = dst_port;
     d.payload.assign(data.begin(), data.end());
     hooks_.transmit(EncodeUdp(d), when);
-    ++tx_;
     return Status::kOk;
   }
 
@@ -60,19 +59,13 @@ class UdpStack {
     }
     sim::Cycles cost = 250 + hooks_.cost->CopyCost(d->payload.size());
     sim::Cycles when = hooks_.cpu != nullptr ? hooks_.cpu->Occupy(cost) : hooks_.engine->now();
-    ++rx_;
     hooks_.engine->ScheduleAt(when, [cb = it->second, dg = std::move(*d)] { cb(dg); });
   }
-
-  uint64_t tx_count() const { return tx_; }
-  uint64_t rx_count() const { return rx_; }
 
  private:
   Hooks hooks_;
   IpAddr ip_;
   std::map<Port, std::function<void(const UdpDatagram&)>> handlers_;
-  uint64_t tx_ = 0;
-  uint64_t rx_ = 0;
 };
 
 }  // namespace exo::net

@@ -60,9 +60,9 @@ struct CostModel {
   // Scheduler quantum (one slice), ~10 ms at 200 MHz.
   Cycles quantum = 2'000'000;
   // Per-pick bookkeeping of the stride scheduler (pass update + ordered-queue
-  // reinsert). Round-robin mode charges nothing extra, which is part of how
-  // XokKernel::SetStrideScheduling(false) stays bit-identical to the legacy
-  // scheduler.
+  // reinsert). Round-robin mode (XokKernel::SetStrideScheduling(false), the
+  // baseline for noisy_neighbor's round_robin lane, NoisySoak and XokTest)
+  // charges nothing extra.
   Cycles stride_pick = 60;
 
   // Interrupt servicing overhead (disk or NIC completion).

@@ -195,7 +195,6 @@ void FaultInjector::AttachCounters(Counters* counters) {
 
 void FaultInjector::RecordMachine(const MachineEvent& e) {
   machine_events_.push_back(e);
-  fault_events_.push_back(FaultEvent{e.kind, e.time, e.machine});
   if (e.kind == 'k') {
     ++stats_.machine_kills;
     Count(c_machine_kills_);
@@ -244,7 +243,7 @@ FaultInjector::WriteFate FaultInjector::NextWriteFate(uint64_t block,
   auto lost = [&]() {
     ++stats_.disk_lost_writes;
     Count(c_lost_writes_);
-    RecordDisk(DiskEvent{seq, 'w', 0});
+    disk_events_.push_back(DiskEvent{seq, 'w', 0});
     Log(Format("disk-lost-write block=%llu seq=%llu", block, seq));
     TraceFault("disk_lost_write", block);
     return WriteFate::kLost;
@@ -253,7 +252,7 @@ FaultInjector::WriteFate FaultInjector::NextWriteFate(uint64_t block,
     misdirect_target_ = target;
     ++stats_.disk_misdirects;
     Count(c_misdirects_);
-    RecordDisk(DiskEvent{seq, 'm', target});
+    disk_events_.push_back(DiskEvent{seq, 'm', target});
     Log(Format("disk-misdirect block=%llu to=%llu", block, target));
     TraceFault("disk_misdirect", block);
     return WriteFate::kMisdirect;
@@ -293,7 +292,7 @@ FaultInjector::ReadFate FaultInjector::NextReadFate(uint64_t block,
   auto latent = [&]() {
     ++stats_.disk_latent;
     Count(c_latent_);
-    RecordDisk(DiskEvent{seq, 'l', 0});
+    disk_events_.push_back(DiskEvent{seq, 'l', 0});
     Log(Format("disk-latent block=%llu seq=%llu", block, seq));
     TraceFault("disk_latent", block);
     return ReadFate::kLatent;
@@ -302,7 +301,7 @@ FaultInjector::ReadFate FaultInjector::NextReadFate(uint64_t block,
     rot_offset_ = offset;
     ++stats_.disk_rot;
     Count(c_rot_);
-    RecordDisk(DiskEvent{seq, 'r', offset});
+    disk_events_.push_back(DiskEvent{seq, 'r', offset});
     Log(Format("disk-rot block=%llu off=%llu", block, offset));
     TraceFault("disk_rot", block);
     return ReadFate::kRot;
@@ -354,7 +353,7 @@ FaultInjector::WireFate FaultInjector::NextWireFate(uint64_t frame_bytes) {
       corrupt_offset_ = ev.corrupt_offset;
       ++stats_.net_corruptions;
       Count(c_net_corruptions_);
-      RecordWire(ev);
+      wire_events_.push_back(ev);
       Log(Format("net-corrupt bytes=%llu off=%llu", frame_bytes, corrupt_offset_));
       TraceFault("net_corrupt", corrupt_offset_);
       return WireFate::kCorrupt;
@@ -362,14 +361,14 @@ FaultInjector::WireFate FaultInjector::NextWireFate(uint64_t frame_bytes) {
     if (ev.kind == 'u') {
       ++stats_.net_duplicates;
       Count(c_net_duplicates_);
-      RecordWire(ev);
+      wire_events_.push_back(ev);
       Log(Format("net-dup bytes=%llu seq=%llu", frame_bytes, stats_.frames_seen));
       TraceFault("net_duplicate", frame_bytes);
       return WireFate::kDuplicate;
     }
     ++stats_.net_drops;
     Count(c_net_drops_);
-    RecordWire(WireEvent{stats_.frames_seen, 'd', 0});
+    wire_events_.push_back(WireEvent{stats_.frames_seen, 'd', 0});
     Log(Format("net-drop bytes=%llu seq=%llu", frame_bytes, stats_.frames_seen));
     TraceFault("net_drop", frame_bytes);
     return WireFate::kDrop;
@@ -385,7 +384,7 @@ FaultInjector::WireFate FaultInjector::NextWireFate(uint64_t frame_bytes) {
   if (roll < plan_.net_drop_rate) {
     ++stats_.net_drops;
     Count(c_net_drops_);
-    RecordWire(WireEvent{stats_.frames_seen, 'd', 0});
+    wire_events_.push_back(WireEvent{stats_.frames_seen, 'd', 0});
     Log(Format("net-drop bytes=%llu seq=%llu", frame_bytes, stats_.frames_seen));
     TraceFault("net_drop", frame_bytes);
     return WireFate::kDrop;
@@ -395,7 +394,7 @@ FaultInjector::WireFate FaultInjector::NextWireFate(uint64_t frame_bytes) {
       // Nothing detectably corruptible: model the damaged frame as lost instead.
       ++stats_.net_drops;
       Count(c_net_drops_);
-      RecordWire(WireEvent{stats_.frames_seen, 'd', 0});
+      wire_events_.push_back(WireEvent{stats_.frames_seen, 'd', 0});
       Log(Format("net-drop(short-corrupt) bytes=%llu seq=%llu", frame_bytes,
                  stats_.frames_seen));
       TraceFault("net_drop", frame_bytes);
@@ -406,7 +405,7 @@ FaultInjector::WireFate FaultInjector::NextWireFate(uint64_t frame_bytes) {
         rng_.Below(frame_bytes - plan_.net_corrupt_min_offset);
     ++stats_.net_corruptions;
     Count(c_net_corruptions_);
-    RecordWire(WireEvent{stats_.frames_seen, 'c', corrupt_offset_});
+    wire_events_.push_back(WireEvent{stats_.frames_seen, 'c', corrupt_offset_});
     Log(Format("net-corrupt bytes=%llu off=%llu", frame_bytes, corrupt_offset_));
     TraceFault("net_corrupt", corrupt_offset_);
     return WireFate::kCorrupt;
@@ -414,7 +413,7 @@ FaultInjector::WireFate FaultInjector::NextWireFate(uint64_t frame_bytes) {
   if (roll < plan_.net_drop_rate + plan_.net_corrupt_rate + plan_.net_duplicate_rate) {
     ++stats_.net_duplicates;
     Count(c_net_duplicates_);
-    RecordWire(WireEvent{stats_.frames_seen, 'u', 0});
+    wire_events_.push_back(WireEvent{stats_.frames_seen, 'u', 0});
     Log(Format("net-dup bytes=%llu seq=%llu", frame_bytes, stats_.frames_seen));
     TraceFault("net_duplicate", frame_bytes);
     return WireFate::kDuplicate;

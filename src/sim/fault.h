@@ -84,7 +84,6 @@ struct FaultEvent {
 };
 
 inline bool IsWireFaultKind(char k) { return k == 'd' || k == 'c' || k == 'u'; }
-inline bool IsDiskFaultKind(char k) { return k == 'w' || k == 'm' || k == 'l' || k == 'r'; }
 inline bool IsMachineFaultKind(char k) { return k == 'k' || k == 'b'; }
 
 // Compact one-line codecs: "d@3 c@15:7 u@20" (wire), "w@9 m@5:917 l@2 r@7:128"
@@ -111,9 +110,9 @@ std::string FormatMachineSchedule(const std::vector<MachineEvent>& events);
 std::vector<MachineEvent> ParseMachineSchedule(const std::string& text,
                                                std::string* error = nullptr);
 
-// Splits a combined schedule into its per-layer scripts (the inverse of the
-// merged fault_events() recording). Sound because indices are per-stream. The
-// two-argument form ignores machine events; pass `machine` to collect them.
+// Splits a combined schedule into its per-layer scripts. Sound because indices
+// are per-stream. The two-argument form ignores machine events; pass `machine`
+// to collect them.
 void SplitFaultSchedule(const std::vector<FaultEvent>& events,
                         std::vector<WireEvent>* wire, std::vector<DiskEvent>* disk);
 void SplitFaultSchedule(const std::vector<FaultEvent>& events,
@@ -149,8 +148,10 @@ struct FaultPlan {
   double disk_latent_rate = 0.0;
   // Scripted media mode: when non-empty, media-fault fates come from this
   // explicit schedule instead of the four rates above — no RNG is consulted for
-  // the media at all.
-  std::vector<DiskEvent> disk_script;
+  // the media at all. (The `{}` initializers on the scripts keep plans written
+  // with designated initializers clean under GCC 12's
+  // -Wmissing-field-initializers.)
+  std::vector<DiskEvent> disk_script{};
 
   // ---- Wire ----
   double net_drop_rate = 0.0;       // frame vanishes
@@ -165,15 +166,7 @@ struct FaultPlan {
   // schedule instead of the rates above — no RNG is consulted for the wire at
   // all. Used to replay (and delta-minimize) a schedule recorded by a previous
   // rate-mode run.
-  std::vector<WireEvent> wire_script;
-
-  // ---- Machine ----
-  // Whole-machine kill/reboot schedule. The injector itself never consults
-  // this (machine death is not a per-device fate): the cluster layer reads it
-  // at setup (cluster::Topology::ApplyMachineSchedule) and calls back into
-  // RecordMachine when each event fires, so kills land in the same log /
-  // trace / counter surface as every other fault.
-  std::vector<MachineEvent> machine_script;
+  std::vector<WireEvent> wire_script{};
 };
 
 struct FaultStats {
@@ -230,15 +223,13 @@ class FaultInjector {
   const std::vector<DiskEvent>& disk_events() const { return disk_events_; }
 
   // Machine kill/reboot events actually executed, in firing order: replay
-  // through FaultPlan::machine_script.
+  // through cluster::Topology::ApplyMachineSchedule.
   const std::vector<MachineEvent>& machine_events() const { return machine_events_; }
-
-  // All layers merged chronologically — the unit a combined soak reproducer
-  // minimizes. SplitFaultSchedule turns a (pruned) copy back into scripts.
-  const std::vector<FaultEvent>& fault_events() const { return fault_events_; }
 
   // Called by the cluster layer when a scheduled machine event fires, so
   // whole-machine faults join the injector's log / trace / counter surface.
+  // The injector itself never schedules machine death (it is not a
+  // per-device fate).
   void RecordMachine(const MachineEvent& e);
 
   // Mirrors every injected fault into the tracer's `fault` category as an
@@ -326,14 +317,6 @@ class FaultInjector {
       ++*slot;
     }
   }
-  void RecordWire(const WireEvent& e) {
-    wire_events_.push_back(e);
-    fault_events_.push_back(FaultEvent{e.kind, e.frame_index, e.corrupt_offset});
-  }
-  void RecordDisk(const DiskEvent& e) {
-    disk_events_.push_back(e);
-    fault_events_.push_back(FaultEvent{e.kind, e.index, e.arg});
-  }
 
   FaultPlan plan_;
   Rng rng_;
@@ -346,7 +329,6 @@ class FaultInjector {
   std::vector<WireEvent> wire_events_;
   std::vector<DiskEvent> disk_events_;
   std::vector<MachineEvent> machine_events_;
-  std::vector<FaultEvent> fault_events_;
   std::map<uint64_t, WireEvent> script_;        // wire_script indexed by frame_index
   std::map<uint64_t, DiskEvent> write_script_;  // disk_script, write-stream kinds
   std::map<uint64_t, DiskEvent> read_script_;   // disk_script, read-stream kinds

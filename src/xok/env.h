@@ -3,8 +3,7 @@
 // An environment holds exactly what the hardware needs to run a process and respond to
 // events: a page table, capability list, scheduling state, and upcall entry points.
 // Everything else (UNIX process semantics, file descriptors, signals) lives in the
-// libOS. A small application-reserved area in the environment structure is readable by
-// everyone and writable by the owner; ExOS keeps its process-table entry there.
+// libOS.
 #ifndef EXO_XOK_ENV_H_
 #define EXO_XOK_ENV_H_
 
@@ -193,10 +192,6 @@ struct Env {
   uint32_t deferred_slices = 0;
   // Set when the parent exited first; FinishExit auto-reaps orphaned zombies.
   bool orphaned = false;
-
-  // Application-reserved space in the kernel environment structure, mapped readable
-  // for all processes and writable only for the owner (Sec. 9.3).
-  std::array<uint8_t, 256> app_data{};
 
   int exit_code = 0;
 

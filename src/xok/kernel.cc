@@ -318,8 +318,8 @@ Env* XokKernel::PickNext() {
   }
 
   if (!stride_on_) {
-    // Legacy round-robin rotation, preserved verbatim for SetStrideScheduling(false):
-    // the fig2–5 goldens depend on this exact pop/push order.
+    // Round-robin rotation for SetStrideScheduling(false): the baseline that
+    // noisy_neighbor's round_robin lane, NoisySoak and XokTest compare against.
     for (size_t n = run_queue_.size(); n > 0; --n) {
       EnvId id = run_queue_.front();
       run_queue_.pop_front();
@@ -938,12 +938,6 @@ Status XokKernel::SysFrameRef(hw::FrameId frame, CredIndex cred) {
     ++host_frame_refs_[frame];
   }
   return Status::kOk;
-}
-
-const CapName& XokKernel::FrameGuard(hw::FrameId frame) const {
-  auto it = frame_guards_.find(frame);
-  EXO_CHECK(it != frame_guards_.end());
-  return it->second;
 }
 
 uint32_t XokKernel::FreeFrameCount() const { return machine_->mem().free_frames(); }
@@ -1601,25 +1595,6 @@ void XokKernel::AbortEnv(EnvId id, const char* reason) {
       sim::Fiber::Suspend();  // zombies are never scheduled again
       EXO_CHECK(false);
     }
-  }
-}
-
-void XokKernel::KillAllEnvs(const char* reason) {
-  EXO_CHECK(current_ == nullptr);  // host context only: no fiber survives this
-  std::vector<EnvId> ids;
-  ids.reserve(envs_.size());
-  for (const auto& [id, e] : envs_) {
-    ids.push_back(id);
-  }
-  for (EnvId id : ids) {
-    auto it = envs_.find(id);
-    if (it == envs_.end()) {
-      continue;  // reaped as a side effect of an earlier abort (parent wait)
-    }
-    if (it->second->state != EnvState::kZombie) {
-      AbortEnv(id, reason);
-    }
-    (void)ReapEnv(id);
   }
 }
 

@@ -3,7 +3,8 @@
 // Xok multiplexes the physical resources of one simulated machine: CPU time
 // (proportional-share stride scheduling over per-env quota tickets, with
 // begin/end-of-slice upcalls and directed yield; SetStrideScheduling(false)
-// recovers the paper-faithful round-robin quantum list bit-exactly), physical memory
+// selects the paper's round-robin quantum list, which noisy_neighbor's
+// round_robin lane and the NoisySoak and XokTest cases compare against), physical memory
 // (explicit frame allocation guarded by capabilities; page tables updated only through
 // system calls), the network (dynamic packet filters demultiplex frames into per-
 // filter packet rings), plus the protected-sharing primitives of Sec. 3.3: software
@@ -175,12 +176,6 @@ class XokKernel {
   // env aborts itself (the calling fiber suspends forever).
   void AbortEnv(EnvId id, const char* reason);
 
-  // Machine death: aborts and reaps every environment, in id order, from host
-  // context (the machine-kill listener — never from an env's own fiber). After
-  // this the kernel holds no envs; whatever survives the crash lives on the
-  // disks, which is exactly the surface the reboot-time fsck recovers.
-  void KillAllEnvs(const char* reason);
-
   // ---- Resource quotas + revocation (Sec. 3: visible revocation; Sec. 3.5) ----
 
   // Replaces `target`'s quota. Callable from the host, or by an env holding the
@@ -220,8 +215,8 @@ class XokKernel {
   // ---- Proportional-share scheduling + memory pressure ----
 
   // Whether the stride scheduler is active. Defaults to on;
-  // SetStrideScheduling(false) recovers the legacy round-robin rotation
-  // bit-exactly.
+  // SetStrideScheduling(false) selects the round-robin rotation, kept as the
+  // baseline for noisy_neighbor's round_robin lane, NoisySoak and XokTest.
   bool stride_scheduling() const { return stride_on_; }
   // Host-only override (benches compare both modes in one process). Rebuilds
   // the stride order from scratch, so it is legal at any host-context point.
@@ -229,7 +224,6 @@ class XokKernel {
 
   // Arms (or, with low_frames == 0, disarms) the pressure monitor.
   void SetMemoryPressurePolicy(const MemoryPressurePolicy& p) { pressure_policy_ = p; }
-  const MemoryPressurePolicy& memory_pressure_policy() const { return pressure_policy_; }
   // Non-empty once Run() has diagnosed a deadlock (all remaining envs were
   // aborted instead of spinning forever).
   const std::string& deadlock_report() const { return deadlock_report_; }
@@ -268,7 +262,6 @@ class XokKernel {
   [[nodiscard]] Status SysFrameFree(hw::FrameId frame, CredIndex cred);
   // Extra reference for sharing (e.g. COW); freeing decrements.
   [[nodiscard]] Status SysFrameRef(hw::FrameId frame, CredIndex cred);
-  const CapName& FrameGuard(hw::FrameId frame) const;
   uint32_t FreeFrameCount() const;  // exposed free list (no syscall)
 
   // Trusted-sibling release path (XN, the buffer registry, host drivers): drops
@@ -318,7 +311,6 @@ class XokKernel {
   // Whether the demux flow cache is active. Defaults to on; SetDemuxCache(false)
   // recovers the linear filter walk for every packet. Host-only toggle; flushes
   // the cache.
-  bool demux_cache() const { return demux_cache_on_; }
   void SetDemuxCache(bool on) {
     demux_cache_on_ = on;
     flow_cache_.clear();

@@ -93,8 +93,8 @@ TEST(ClusterTest, CrossShardWireMatchesSingleEngineTimestamps) {
   std::vector<sim::Cycles> got;
   {
     cluster::Cluster cl;
-    const uint32_t sa = cl.AddShard("a");
-    const uint32_t sb = cl.AddShard("b");
+    const uint32_t sa = cl.AddShard();
+    const uint32_t sb = cl.AddShard();
     hw::Nic a(0), b(1);
     cl.Connect(sa, &a, sb, &b, kMbps, kLatencyUs, 200);
     int hops = 0;
@@ -120,8 +120,8 @@ TEST(ClusterTest, CrossShardWireMatchesSingleEngineTimestamps) {
 // the fabric clamps it to one cycle of lookahead.
 TEST(ClusterTest, ZeroLatencyCrossShardLinkClampsToOneCycle) {
   cluster::Cluster cl;
-  const uint32_t sa = cl.AddShard("a");
-  const uint32_t sb = cl.AddShard("b");
+  const uint32_t sa = cl.AddShard();
+  const uint32_t sb = cl.AddShard();
   hw::Nic a(0), b(1);
   cl.Connect(sa, &a, sb, &b, 1000.0, /*latency_us=*/0.0, 200);
   EXPECT_EQ(cl.lookahead(), 1u);
@@ -138,9 +138,9 @@ TEST(ClusterTest, ZeroLatencyCrossShardLinkClampsToOneCycle) {
 TEST(ClusterTest, SameTimestampCrossShardArrivalsTieBreakBySourceShard) {
   for (uint32_t threads : {1u, 3u}) {
     cluster::Cluster cl(cluster::ClusterOptions{threads, 1});
-    const uint32_t sa = cl.AddShard("a");
-    const uint32_t sb = cl.AddShard("b");
-    const uint32_t sd = cl.AddShard("dst");
+    const uint32_t sa = cl.AddShard();
+    const uint32_t sb = cl.AddShard();
+    const uint32_t sd = cl.AddShard();
     hw::Nic a(0), b(1), da(2), db(3);
     cl.Connect(sa, &a, sd, &da, 100.0, 25.0, 200);
     cl.Connect(sb, &b, sd, &db, 100.0, 25.0, 200);
@@ -169,9 +169,9 @@ TEST(ClusterTest, SameTimestampCrossShardArrivalsTieBreakBySourceShard) {
 
 TEST(ClusterTest, RunUntilAlignsEveryShardClock) {
   cluster::Cluster cl;
-  const uint32_t sa = cl.AddShard("a");
-  const uint32_t sb = cl.AddShard("b");
-  const uint32_t sc = cl.AddShard("idle");
+  const uint32_t sa = cl.AddShard();
+  const uint32_t sb = cl.AddShard();
+  const uint32_t sc = cl.AddShard();
   hw::Nic a(0), b(1);
   cl.Connect(sa, &a, sb, &b, 1000.0, 10.0, 200);
   b.SetReceiveHandler([&](hw::Packet p) { b.Transmit(std::move(p)); });
@@ -201,7 +201,7 @@ TEST(ClusterTest, SeedDerivationIsStableAndDisjoint) {
 // contribute lookahead.
 TEST(ClusterTest, SameShardConnectStaysPlainLink) {
   cluster::Cluster cl;
-  const uint32_t s = cl.AddShard("s");
+  const uint32_t s = cl.AddShard();
   hw::Nic a(0), b(1);
   hw::Link* link = cl.Connect(s, &a, s, &b, 1000.0, 0.0, 200);
   EXPECT_EQ(link->engine_for(&a), &cl.engine(s));
@@ -380,8 +380,8 @@ TEST(ClusterTest, DirectTopologyWiresClientsToServers) {
 // direction stays untouched.
 TEST(ClusterTest, CrossShardLinkInjectsScriptedWireFaults) {
   cluster::Cluster cl;
-  const uint32_t sa = cl.AddShard("a");
-  const uint32_t sb = cl.AddShard("b");
+  const uint32_t sa = cl.AddShard();
+  const uint32_t sb = cl.AddShard();
   hw::Nic a(0), b(1);
   auto* link = static_cast<cluster::ShardLink*>(
       cl.Connect(sa, &a, sb, &b, 100.0, 25.0, 200));
@@ -504,7 +504,6 @@ std::string RunFailoverWorkload(uint32_t threads, uint64_t* echoed) {
   tc.seed = 99;
   tc.machine.mem_frames = 64;
   tc.machine.disks.clear();
-  tc.health.enabled = true;
   tc.health.interval_us = 500.0;  // 100k cycles at 200 MHz
   tc.health.timeout_us = 200.0;
   tc.health.fall = 2;

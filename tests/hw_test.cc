@@ -632,8 +632,8 @@ TEST(NicTest, CorruptionSparesBytesBelowMinOffset) {
   EXPECT_EQ(faults.stats().net_drops, 1u);
 }
 
-// A downed NIC is silent hardware: transmits refuse, arrivals vanish, the DMA
-// rings are cleared; bringing it back up restores normal service.
+// A downed NIC is silent hardware: transmits refuse and arrivals vanish;
+// bringing it back up restores normal service.
 TEST(NicTest, DownNicRefusesTransmitAndDropsArrivals) {
   sim::Engine engine;
   Nic a(0);
