@@ -76,7 +76,6 @@ class HttpServer {
   uint64_t requests_served() const { return requests_; }
   // Requests answered with a cheap 503 while shedding (admission control).
   uint64_t requests_rejected() const { return rejected_; }
-  bool shedding() const { return shedding_; }
   // Response-cache counters (0s when no cache is configured).
   uint64_t cache_hits() const { return cache_ != nullptr ? cache_->hits() : 0; }
   uint64_t cache_misses() const { return cache_ != nullptr ? cache_->misses() : 0; }

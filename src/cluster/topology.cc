@@ -387,12 +387,13 @@ sim::FaultInjector* Topology::MachineFaultInjector(uint32_t id) {
   return slot.get();
 }
 
-void Topology::ApplyMachineSchedule(const std::vector<sim::MachineEvent>& schedule) {
-  for (const sim::MachineEvent& e : schedule) {
-    EXO_CHECK(e.machine < machines_.size());
-    sim::FaultInjector* inj = MachineFaultInjector(static_cast<uint32_t>(e.machine));
-    engine_of(static_cast<uint32_t>(e.machine)).ScheduleAt(e.time, [this, e, inj] {
-      const uint32_t id = static_cast<uint32_t>(e.machine);
+void Topology::ApplyMachineSchedule(const std::vector<sim::FaultEvent>& schedule) {
+  for (const sim::FaultEvent& e : schedule) {
+    EXO_CHECK(sim::IsMachineFaultKind(e.kind));
+    EXO_CHECK(e.arg < machines_.size());
+    sim::FaultInjector* inj = MachineFaultInjector(static_cast<uint32_t>(e.arg));
+    engine_of(static_cast<uint32_t>(e.arg)).ScheduleAt(e.index, [this, e, inj] {
+      const uint32_t id = static_cast<uint32_t>(e.arg);
       inj->RecordMachine(e);
       if (e.kind == 'k') {
         machine(id).Kill();

@@ -129,15 +129,16 @@ class Topology {
   // exactly like dead hardware. Requires front_end_lb.
   void ArmHealthChecks(sim::Cycles until);
 
-  // Schedules the machine kill/reboot events (sim::ParseMachineSchedule
-  // grammar: "k@<t>:<m>,b@<t>:<m>") on each victim's shard engine. Kills run
-  // hw::Machine::Kill (NICs down, disks power-cut, kill listeners) and reboots
-  // hw::Machine::Reboot; both are recorded through a per-victim
+  // Schedules the machine kill/reboot events (sim::FaultEvent kinds 'k'/'b':
+  // index = cycle, arg = machine id; sim::ParseFaultSchedule grammar, tokens
+  // separated by spaces: "k@<t>:<m> b@<t>:<m>") on each victim's shard
+  // engine. Kills run hw::Machine::Kill (NICs down, disks power-cut, kill
+  // listeners) and reboots hw::Machine::Reboot; both are recorded through a per-victim
   // sim::FaultInjector (fault.machine_kills / fault.machine_reboots counters
   // and machine_kill/machine_reboot trace instants on the victim's timeline).
   // All state touched is machine-local, so schedules replay bit-identically at
   // any thread count. Call before Run; may be called multiple times.
-  void ApplyMachineSchedule(const std::vector<sim::MachineEvent>& schedule);
+  void ApplyMachineSchedule(const std::vector<sim::FaultEvent>& schedule);
 
   // Optional fleet-level lifecycle hooks, called (with the machine id, on the
   // victim's shard thread, after the hardware transition and the machine's own

@@ -32,52 +32,25 @@
 
 namespace exo::sim {
 
-// One wire fault, keyed by consultation index: the `frame_index`-th frame to
-// enter any link sharing the injector (1-based — the same count rate-mode log
-// lines print as `seq=`). This is the replayable unit: the schedule a run
-// *executed* (wire_events()) can be fed back verbatim via FaultPlan::wire_script
-// and hits the identical frames, because consultation order is deterministic.
-struct WireEvent {
-  uint64_t frame_index = 0;
-  char kind = 'd';              // 'd' drop, 'c' corrupt, 'u' duplicate
-  uint64_t corrupt_offset = 0;  // byte to flip, kind == 'c' only
-
-  bool operator==(const WireEvent&) const = default;
-};
-
-// One media fault, keyed by consultation index within its *direction* stream.
-// Write kinds index the Nth block-write consultation; read kinds index the Nth
-// block-read consultation (both 1-based, counted across every request the
-// injector sees). Like WireEvent, the schedule a run executed (disk_events())
-// replays verbatim through FaultPlan::disk_script.
-struct DiskEvent {
-  uint64_t index = 0;
-  char kind = 'w';   // 'w' lost write, 'm' misdirected write, 'l' latent sector, 'r' bit rot
-  uint64_t arg = 0;  // 'm': absolute target LBA; 'r': byte offset to flip; else unused
-
-  bool operator==(const DiskEvent&) const = default;
-};
-
-// One whole-machine fault, keyed by *absolute simulated time* (cycles) rather
-// than a consultation index: machine death is an external event, not a fate
-// drawn on a device's consultation stream. The schedule is applied up front
-// (cluster::Topology::ApplyMachineSchedule), so it is ddmin-shrinkable exactly
-// like the wire/disk scripts — every subset replays deterministically.
-struct MachineEvent {
-  uint64_t time = 0;     // engine cycles on the victim machine's shard clock
-  char kind = 'k';       // 'k' kill, 'b' reboot
-  uint64_t machine = 0;  // cluster-wide machine id
-
-  bool operator==(const MachineEvent&) const = default;
-};
-
-// A wire, disk, or machine fault in one combined stream, recorded
-// chronologically. The kind letters of the layers are disjoint (d/c/u vs
-// w/m/l/r vs k/b), so a single token grammar — and a single ddmin pass —
-// covers all of them.
+// One injected fault in replayable form — the only fault-event type. Kind
+// letters are disjoint per layer, so one token grammar and one ddmin pass
+// cover every layer:
+//   wire     'd' drop, 'c' corrupt (arg: byte to flip), 'u' duplicate
+//   disk     write stream: 'w' lost write, 'm' misdirected write (arg: target LBA)
+//            read stream:  'l' latent sector, 'r' bit rot (arg: byte to flip)
+//   machine  'k' kill, 'b' reboot (arg: cluster-wide machine id)
+// `index` is the 1-based consultation index within the event's stream: the
+// N-th frame to enter any link sharing the injector, the N-th block write, or
+// the N-th block read (the count rate-mode log lines print as `seq=`). Because
+// consultation order is deterministic, the events a run executed
+// (FaultInjector::events()) replay verbatim through FaultPlan::script and hit
+// the identical frames and blocks. Machine events key on absolute simulated
+// time instead (cycles on the victim's shard clock): machine death is an
+// external event applied up front by cluster::Topology::ApplyMachineSchedule,
+// not a fate drawn on a device's consultation stream.
 struct FaultEvent {
   char kind = 'd';
-  uint64_t index = 0;  // per-layer, per-direction consultation index (or time)
+  uint64_t index = 0;
   uint64_t arg = 0;
 
   bool operator==(const FaultEvent&) const = default;
@@ -86,38 +59,17 @@ struct FaultEvent {
 inline bool IsWireFaultKind(char k) { return k == 'd' || k == 'c' || k == 'u'; }
 inline bool IsMachineFaultKind(char k) { return k == 'k' || k == 'b'; }
 
-// Compact one-line codecs: "d@3 c@15:7 u@20" (wire), "w@9 m@5:917 l@2 r@7:128"
-// (disk), and the union grammar for combined schedules. kinds 'c'/'r'/'m' carry
-// a mandatory :arg; the others forbid one. Parsers are strict: any garbage
-// token, overflow, zero index, or duplicate index within a stream yields an
-// empty schedule, with a diagnostic in *error when supplied — never a silent
-// misparse.
-std::string FormatWireSchedule(const std::vector<WireEvent>& events);
-std::vector<WireEvent> ParseWireSchedule(const std::string& text,
-                                         std::string* error = nullptr);
-std::string FormatDiskSchedule(const std::vector<DiskEvent>& events);
-std::vector<DiskEvent> ParseDiskSchedule(const std::string& text,
-                                         std::string* error = nullptr);
+// The one-line schedule codec: "d@3 w@1 c@15:58 r@7:128 k@5000:1". Tokens are
+// separated by spaces; kinds 'c', 'm', 'r', 'k' and 'b' carry a mandatory
+// :arg, the others forbid one. The parser is strict: any garbage token,
+// overflow, zero index, or duplicate within a stream yields an empty schedule,
+// with a diagnostic in *error when supplied — never a silent misparse. The
+// streams are wire, disk write, disk read, and machine; a machine duplicate is
+// two events for the same machine on the same cycle (ambiguous order), while
+// different machines may share a cycle.
 std::string FormatFaultSchedule(const std::vector<FaultEvent>& events);
 std::vector<FaultEvent> ParseFaultSchedule(const std::string& text,
                                            std::string* error = nullptr);
-
-// Machine schedule codec: "k@5000:1 b@90000:1" kills machine 1 at cycle 5000
-// and reboots it at cycle 90000. Both kinds carry a mandatory :machine arg.
-// Two events for the *same machine* at the same cycle are rejected (ambiguous
-// order); events for different machines may share a cycle.
-std::string FormatMachineSchedule(const std::vector<MachineEvent>& events);
-std::vector<MachineEvent> ParseMachineSchedule(const std::string& text,
-                                               std::string* error = nullptr);
-
-// Splits a combined schedule into its per-layer scripts. Sound because indices
-// are per-stream. The two-argument form ignores machine events; pass `machine`
-// to collect them.
-void SplitFaultSchedule(const std::vector<FaultEvent>& events,
-                        std::vector<WireEvent>* wire, std::vector<DiskEvent>* disk);
-void SplitFaultSchedule(const std::vector<FaultEvent>& events,
-                        std::vector<WireEvent>* wire, std::vector<DiskEvent>* disk,
-                        std::vector<MachineEvent>* machine);
 
 // Declarative description of the faults to inject. Rates are per-consultation
 // probabilities in [0, 1]; 0 disables the corresponding fault class.
@@ -146,12 +98,6 @@ struct FaultPlan {
   // Per-block-read probability that the sector goes latent-bad: this and every
   // later read of it fails with kIoError until the block is rewritten.
   double disk_latent_rate = 0.0;
-  // Scripted media mode: when non-empty, media-fault fates come from this
-  // explicit schedule instead of the four rates above — no RNG is consulted for
-  // the media at all. (The `{}` initializers on the scripts keep plans written
-  // with designated initializers clean under GCC 12's
-  // -Wmissing-field-initializers.)
-  std::vector<DiskEvent> disk_script{};
 
   // ---- Wire ----
   double net_drop_rate = 0.0;       // frame vanishes
@@ -162,11 +108,17 @@ struct FaultPlan {
   // fault the receiver cannot detect). Frames too short to corrupt are dropped
   // instead, which the receiver treats identically (a timeout).
   uint32_t net_corrupt_min_offset = 0;
-  // Scripted wire mode: when non-empty, wire fates come from this explicit
-  // schedule instead of the rates above — no RNG is consulted for the wire at
-  // all. Used to replay (and delta-minimize) a schedule recorded by a previous
-  // rate-mode run.
-  std::vector<WireEvent> wire_script{};
+
+  // ---- Script ----
+  // Explicit fates by consultation index, typically a schedule recorded by a
+  // previous run (FaultInjector::events()) or a ddmin-pruned subset of one. A
+  // layer runs scripted exactly when the script holds events of its kinds:
+  // wire kinds replace the three net_* rates, disk kinds the four media rates,
+  // and a scripted layer consults no RNG at all. Machine kinds are rejected;
+  // they go to cluster::Topology::ApplyMachineSchedule. (The `{}` initializer
+  // keeps plans written with designated initializers clean under GCC 12's
+  // -Wmissing-field-initializers.)
+  std::vector<FaultEvent> script{};
 };
 
 struct FaultStats {
@@ -190,19 +142,7 @@ struct FaultStats {
 
 class FaultInjector {
  public:
-  explicit FaultInjector(const FaultPlan& plan) : plan_(plan), rng_(plan.seed) {
-    for (const WireEvent& e : plan_.wire_script) {
-      script_[e.frame_index] = e;
-    }
-    disk_scripted_ = !plan_.disk_script.empty();
-    for (const DiskEvent& e : plan_.disk_script) {
-      if (e.kind == 'w' || e.kind == 'm') {
-        write_script_[e.index] = e;
-      } else {
-        read_script_[e.index] = e;
-      }
-    }
-  }
+  explicit FaultInjector(const FaultPlan& plan);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -214,47 +154,29 @@ class FaultInjector {
   // with the same seed and workload must produce identical logs.
   const std::vector<std::string>& log() const { return log_; }
 
-  // The wire faults actually executed, in consultation order, in the replayable
-  // form: feed them back through FaultPlan::wire_script (whole or ddmin-pruned —
-  // sim::Shrinker) to re-run or minimize the schedule.
-  const std::vector<WireEvent>& wire_events() const { return wire_events_; }
-
-  // Same for media faults: replay through FaultPlan::disk_script.
-  const std::vector<DiskEvent>& disk_events() const { return disk_events_; }
-
-  // Machine kill/reboot events actually executed, in firing order: replay
-  // through cluster::Topology::ApplyMachineSchedule.
-  const std::vector<MachineEvent>& machine_events() const { return machine_events_; }
+  // Every replayable fault actually executed (wire, media and machine), in
+  // consultation order: feed it back through FaultPlan::script (whole or
+  // ddmin-pruned — sim::Shrinker) to re-run or minimize the schedule; machine
+  // events replay through cluster::Topology::ApplyMachineSchedule. Disk
+  // request errors and power cuts are rate/cut-point faults with no replay
+  // letter, so they appear in log() only.
+  const std::vector<FaultEvent>& events() const { return events_; }
 
   // Called by the cluster layer when a scheduled machine event fires, so
   // whole-machine faults join the injector's log / trace / counter surface.
   // The injector itself never schedules machine death (it is not a
   // per-device fate).
-  void RecordMachine(const MachineEvent& e);
+  void RecordMachine(const FaultEvent& e);
 
   // Mirrors every injected fault into the tracer's `fault` category as an
   // instant event, stamped with the engine clock, so a failing crash-test
   // schedule replays with a visible timeline. First attachment wins (a Disk and
-  // a Link sharing one injector both try to wire it); detach with nullptr.
-  void AttachTracer(trace::Tracer* tracer, const Engine* engine) {
-    if (tracer == nullptr) {
-      tracer_ = nullptr;
-      engine_ = nullptr;
-      return;
-    }
-    if (tracer_ != nullptr) {
-      return;
-    }
-    tracer_ = tracer;
-    engine_ = engine;
-    trace_track_ = tracer->NewTrack("faults");
-  }
-  trace::Tracer* tracer() const { return tracer_; }
+  // a Link sharing one injector both try to wire it).
+  void AttachTracer(trace::Tracer* tracer, const Engine* engine);
 
   // Mirrors fault counts into the standard counter surface as `fault.*` so
   // activity is observable without reading the injector log (see
-  // docs/OBSERVABILITY.md). Same contract as AttachTracer: first attachment
-  // wins, nullptr detaches.
+  // docs/OBSERVABILITY.md). First attachment wins, as for AttachTracer.
   void AttachCounters(Counters* counters);
 
   // ---- Disk consultation ----
@@ -267,11 +189,6 @@ class FaultInjector {
   // this write is the k-th and power is lost *after* it (the caller must freeze:
   // later blocks of the same request are torn away).
   bool OnBlockWritten(uint64_t block);
-
-  bool power_cut_pending() const {
-    return plan_.power_cut_after_blocks != 0 &&
-           stats_.disk_blocks_written < plan_.power_cut_after_blocks;
-  }
 
   // ---- Media consultation ----
 
@@ -304,19 +221,19 @@ class FaultInjector {
   uint64_t CorruptionOffset() const { return corrupt_offset_; }
 
  private:
-  void Log(std::string line) { log_.push_back(std::move(line)); }
-  // Emits a `fault` instant if a tracer is attached and the category armed.
-  void TraceFault(const char* name, uint64_t arg) {
-    if (tracer_ != nullptr && tracer_->enabled(trace::Category::kFault)) {
-      tracer_->Instant(trace::Category::kFault, trace_track_, name,
-                       engine_ != nullptr ? engine_->now() : 0, arg);
-    }
-  }
-  void Count(Counters::Slot* slot) {
-    if (slot != nullptr) {
-      ++*slot;
-    }
-  }
+  // Every injected fault belongs to one class; kClasses (fault.cc) maps each
+  // to its FaultStats field, fault.* counter, trace instant and replay letter.
+  enum Class {
+    kDiskError, kPowerCut, kLostWrite, kMisdirect, kRot, kLatent,
+    kNetDrop, kNetCorrupt, kNetDuplicate, kMachineKill, kMachineReboot,
+    kNumClasses,
+  };
+
+  // The one recording path for an injected fault: bumps its stat and counter,
+  // appends {letter, index, arg} to events() when the class has a replay
+  // letter, appends `line` to log() and emits the trace instant.
+  void Record(Class c, uint64_t index, uint64_t arg, std::string line,
+              uint64_t trace_arg);
 
   FaultPlan plan_;
   Rng rng_;
@@ -324,29 +241,17 @@ class FaultInjector {
   uint64_t corrupt_offset_ = 0;
   uint64_t misdirect_target_ = 0;
   uint64_t rot_offset_ = 0;
-  bool disk_scripted_ = false;
   std::vector<std::string> log_;
-  std::vector<WireEvent> wire_events_;
-  std::vector<DiskEvent> disk_events_;
-  std::vector<MachineEvent> machine_events_;
-  std::map<uint64_t, WireEvent> script_;        // wire_script indexed by frame_index
-  std::map<uint64_t, DiskEvent> write_script_;  // disk_script, write-stream kinds
-  std::map<uint64_t, DiskEvent> read_script_;   // disk_script, read-stream kinds
+  std::vector<FaultEvent> events_;
+  // plan_.script split by stream, keyed by consultation index.
+  std::map<uint64_t, FaultEvent> scripted_frames_;
+  std::map<uint64_t, FaultEvent> scripted_writes_;
+  std::map<uint64_t, FaultEvent> scripted_reads_;
+  bool media_scripted_ = false;
   trace::Tracer* tracer_ = nullptr;
   const Engine* engine_ = nullptr;
   uint32_t trace_track_ = 0;
-  Counters::Slot* c_disk_io_errors_ = nullptr;
-  Counters::Slot* c_power_cuts_ = nullptr;
-  Counters::Slot* c_lost_writes_ = nullptr;
-  Counters::Slot* c_misdirects_ = nullptr;
-  Counters::Slot* c_rot_ = nullptr;
-  Counters::Slot* c_latent_ = nullptr;
-  Counters::Slot* c_net_drops_ = nullptr;
-  Counters::Slot* c_net_corruptions_ = nullptr;
-  Counters::Slot* c_net_duplicates_ = nullptr;
-  Counters::Slot* c_machine_kills_ = nullptr;
-  Counters::Slot* c_machine_reboots_ = nullptr;
-  bool counters_attached_ = false;
+  Counters::Slot* counters_[kNumClasses] = {};
 };
 
 }  // namespace exo::sim

@@ -346,7 +346,7 @@ TEST_F(DiskTest, IntegrityTagCatchesScribbleAndRestampClears) {
 TEST_F(DiskTest, ScriptedLostWriteAcksButNeverLands) {
   disk_.EnableIntegrity();
   sim::FaultPlan plan;
-  plan.disk_script = {{1, 'w', 0}};
+  plan.script = {{'w', 1, 0}};
   sim::FaultInjector faults(plan);
   disk_.SetFaultInjector(&faults);
 
@@ -371,7 +371,7 @@ TEST_F(DiskTest, ScriptedLostWriteAcksButNeverLands) {
 TEST_F(DiskTest, ScriptedMisdirectLandsAtVictimWithWrongIntendedTag) {
   disk_.EnableIntegrity();
   sim::FaultPlan plan;
-  plan.disk_script = {{1, 'm', 777}};
+  plan.script = {{'m', 1, 777}};
   sim::FaultInjector faults(plan);
   disk_.SetFaultInjector(&faults);
   sim::Counters counters;
@@ -400,7 +400,7 @@ TEST_F(DiskTest, ScriptedRotFlipsMediaPersistently) {
   disk_.EnableIntegrity();
 
   sim::FaultPlan plan;
-  plan.disk_script = {{1, 'r', 9}};
+  plan.script = {{'r', 1, 9}};
   sim::FaultInjector faults(plan);
   disk_.SetFaultInjector(&faults);
 
@@ -428,7 +428,7 @@ TEST_F(DiskTest, ScriptedRotFlipsMediaPersistently) {
 TEST_F(DiskTest, LatentSectorPersistsAcrossPowerCycleAndDetachUntilRewritten) {
   disk_.EnableIntegrity();
   sim::FaultPlan plan;
-  plan.disk_script = {{1, 'l', 0}};
+  plan.script = {{'l', 1, 0}};
   sim::FaultInjector faults(plan);
   disk_.SetFaultInjector(&faults);
 

@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "hw/disk.h"
+#include "hw/nic.h"
+#include "hw/phys_mem.h"
 #include "sim/cost_model.h"
 #include "sim/counters.h"
 #include "sim/engine.h"
@@ -343,55 +346,44 @@ TEST(StatusTest, NamesAreDistinct) {
 // would replay the WRONG schedule and "not reproduce".
 
 TEST(FaultCodecTest, MalformedInputsRejectLoudly) {
-  const char* bad_wire[] = {
+  const char* bad[] = {
       "x@1",           // unknown kind
-      "w@1",           // disk kind in the wire grammar
       "d@0",           // indices are 1-based
+      "w@0",
       "d@",            // missing index
       "@3",            // missing kind
       "d3",            // missing '@'
-      "c@5",           // 'c' requires :arg
+      "c@5",           // 'c' requires :arg (the byte to flip)
+      "m@4",           // 'm' requires :arg (the victim LBA)
+      "r@4",           // 'r' requires :arg (the byte offset)
       "d@3:1",         // 'd' forbids :arg
+      "w@2:7",         // 'w' forbids :arg
+      "l@2:7",         // 'l' forbids :arg
       "c@5:",          // empty arg
       "c@5:9x",        // trailing garbage in arg
       "d@18446744073709551616",  // 2^64: overflow
       "d@3 d@3",       // duplicate consultation index
-      "d@3 c@3:7",     // duplicate index across kinds of the same stream
+      "d@3 c@3:7",     // duplicate index across kinds of the wire stream
+      "w@3 m@3:9",     // duplicate within the disk write stream
+      "l@2 r@2:1",     // duplicate within the disk read stream
       "d@1 oops",      // valid token then garbage
+      "k@1000:2,b@2000:2",  // tokens are space-separated, never comma-separated
   };
-  for (const char* text : bad_wire) {
+  for (const char* text : bad) {
     std::string err;
-    EXPECT_TRUE(ParseWireSchedule(text, &err).empty()) << text;
+    EXPECT_TRUE(ParseFaultSchedule(text, &err).empty()) << text;
     EXPECT_NE(err.find("token"), std::string::npos) << text << " -> " << err;
   }
 
-  const char* bad_disk[] = {
-      "d@1",      // wire kind in the disk grammar
-      "w@0",      // zero index
-      "m@4",      // 'm' requires :arg (the victim LBA)
-      "r@4",      // 'r' requires :arg (the byte offset)
-      "w@2:7",    // 'w' forbids :arg
-      "l@2:7",    // 'l' forbids :arg
-      "w@3 m@3:9",  // duplicate within the write stream
-      "l@2 r@2:1",  // duplicate within the read stream
-  };
-  for (const char* text : bad_disk) {
-    std::string err;
-    EXPECT_TRUE(ParseDiskSchedule(text, &err).empty()) << text;
-    EXPECT_NE(err.find("token"), std::string::npos) << text << " -> " << err;
-  }
-
-  // The combined grammar accepts both alphabets but keeps per-stream
-  // duplicate rejection: w@3/l@3 are different streams, w@3/m@3 are not.
+  // Duplicates are per stream: wire, disk write and disk read are three
+  // streams, so d@3/w@3/l@3 all coexist.
   std::string err;
   EXPECT_EQ(ParseFaultSchedule("d@3 w@3 l@3", &err).size(), 3u) << err;
-  EXPECT_TRUE(ParseFaultSchedule("w@3 m@3:5", &err).empty());
-  EXPECT_NE(err.find("token"), std::string::npos);
 
   // Whitespace-only input is a valid empty schedule, not an error: the
   // diagnostic out-param is cleared, not populated.
   err = "sentinel";
-  EXPECT_TRUE(ParseWireSchedule("   ", &err).empty());
+  EXPECT_TRUE(ParseFaultSchedule("   ", &err).empty());
   EXPECT_EQ(err, "");
 }
 
@@ -405,71 +397,54 @@ TEST(FaultCodecTest, FuzzedSchedulesRoundTrip) {
     uint64_t wire_idx = 0;
     uint64_t write_idx = 0;
     uint64_t read_idx = 0;
+    uint64_t time = 0;
     const uint32_t n = rng.Below(12);
     for (uint32_t i = 0; i < n; ++i) {
-      static constexpr char kKinds[] = {'d', 'c', 'u', 'w', 'm', 'l', 'r'};
-      const char kind = kKinds[rng.Below(7)];
-      uint64_t* stream = IsWireFaultKind(kind) ? &wire_idx
+      static constexpr char kKinds[] = {'d', 'c', 'u', 'w', 'm', 'l', 'r', 'k', 'b'};
+      const char kind = kKinds[rng.Below(9)];
+      uint64_t* stream = IsWireFaultKind(kind)           ? &wire_idx
+                         : IsMachineFaultKind(kind)      ? &time
                          : (kind == 'w' || kind == 'm') ? &write_idx
                                                         : &read_idx;
       *stream += 1 + rng.Below(1000);
-      const bool has_arg = kind == 'c' || kind == 'm' || kind == 'r';
+      const bool has_arg = kind == 'c' || kind == 'm' || kind == 'r' ||
+                           IsMachineFaultKind(kind);
       events.push_back(FaultEvent{kind, *stream, has_arg ? rng.Below(1 << 20) : 0});
     }
     const std::string line = FormatFaultSchedule(events);
     std::string err;
     const auto parsed = ParseFaultSchedule(line, &err);
     ASSERT_TRUE(parsed == events) << "iter " << iter << ": \"" << line << "\" -> " << err;
-
-    // The split-by-layer views round-trip through their own codecs too.
-    std::vector<WireEvent> wire;
-    std::vector<DiskEvent> disk;
-    SplitFaultSchedule(events, &wire, &disk);
-    EXPECT_TRUE(ParseWireSchedule(FormatWireSchedule(wire), &err) == wire);
-    EXPECT_TRUE(ParseDiskSchedule(FormatDiskSchedule(disk), &err) == disk);
   }
 }
 
-// Machine kill/reboot schedule grammar: k@<cycle>:<machine> / b@<cycle>:<machine>,
+// Machine kill/reboot events: k@<cycle>:<machine> / b@<cycle>:<machine>,
 // keyed by absolute time rather than consultation index.
 TEST(FaultCodecTest, MachineScheduleRoundTripAndDuplicateRules) {
   std::string err;
-  const auto sched = ParseMachineSchedule("k@1000:2 b@6000:2 k@6000:3", &err);
+  const auto sched = ParseFaultSchedule("k@1000:2 b@6000:2 k@6000:3", &err);
   ASSERT_EQ(sched.size(), 3u) << err;
   EXPECT_EQ(sched[0].kind, 'k');
-  EXPECT_EQ(sched[0].time, 1000u);
-  EXPECT_EQ(sched[0].machine, 2u);
+  EXPECT_EQ(sched[0].index, 1000u);
+  EXPECT_EQ(sched[0].arg, 2u);
   EXPECT_EQ(sched[2].kind, 'k');
-  EXPECT_EQ(sched[2].machine, 3u);
-  EXPECT_TRUE(ParseMachineSchedule(FormatMachineSchedule(sched), &err) == sched);
+  EXPECT_EQ(sched[2].arg, 3u);
+  EXPECT_TRUE(ParseFaultSchedule(FormatFaultSchedule(sched), &err) == sched);
 
   // Same machine, same cycle: ambiguous order, rejected. Different machines
   // may share a cycle (the arg disambiguates the shared stream).
-  EXPECT_TRUE(ParseMachineSchedule("k@5:1 b@5:1", &err).empty());
+  EXPECT_TRUE(ParseFaultSchedule("k@5:1 b@5:1", &err).empty());
   EXPECT_NE(err.find("token"), std::string::npos);
-  EXPECT_EQ(ParseMachineSchedule("k@5:1 k@5:2", &err).size(), 2u) << err;
+  EXPECT_EQ(ParseFaultSchedule("k@5:1 k@5:2", &err).size(), 2u) << err;
   // The :machine arg is mandatory for both kinds.
-  EXPECT_TRUE(ParseMachineSchedule("k@5", &err).empty());
-  EXPECT_TRUE(ParseMachineSchedule("b@5", &err).empty());
+  EXPECT_TRUE(ParseFaultSchedule("k@5", &err).empty());
+  EXPECT_TRUE(ParseFaultSchedule("b@5", &err).empty());
 
-  // The combined grammar accepts machine kinds; the 3-way split routes them
-  // to the machine vector and the legacy 2-way split ignores them.
-  const auto combined = ParseFaultSchedule("d@1 w@3 k@100:0 b@200:0", &err);
+  // Machine events mix with the other layers in one line; a machine time
+  // never clashes with a consultation index of another stream.
+  const auto combined = ParseFaultSchedule("d@100 w@3 k@100:0 b@200:0", &err);
   ASSERT_EQ(combined.size(), 4u) << err;
-  std::vector<WireEvent> wire;
-  std::vector<DiskEvent> disk;
-  std::vector<MachineEvent> machines;
-  SplitFaultSchedule(combined, &wire, &disk, &machines);
-  EXPECT_EQ(wire.size(), 1u);
-  EXPECT_EQ(disk.size(), 1u);
-  ASSERT_EQ(machines.size(), 2u);
-  EXPECT_EQ(machines[0].kind, 'k');
-  EXPECT_EQ(machines[1].time, 200u);
-  wire.clear();
-  disk.clear();
-  SplitFaultSchedule(combined, &wire, &disk);
-  EXPECT_EQ(wire.size(), 1u);
-  EXPECT_EQ(disk.size(), 1u);
+  EXPECT_EQ(FormatFaultSchedule(combined), "d@100 w@3 k@100:0 b@200:0");
 }
 
 // RecordMachine lands machine faults on the same stats/counter/replay surface
@@ -479,44 +454,43 @@ TEST(FaultInjectorTest, RecordMachineCountsAndReplays) {
   FaultInjector faults(plan);
   Counters counters;
   faults.AttachCounters(&counters);
-  faults.RecordMachine(MachineEvent{1000, 'k', 2});
-  faults.RecordMachine(MachineEvent{2000, 'b', 2});
+  faults.RecordMachine(FaultEvent{'k', 1000, 2});
+  faults.RecordMachine(FaultEvent{'b', 2000, 2});
   EXPECT_EQ(faults.stats().machine_kills, 1u);
   EXPECT_EQ(faults.stats().machine_reboots, 1u);
   EXPECT_EQ(counters.Get("fault.machine_kills"), 1u);
   EXPECT_EQ(counters.Get("fault.machine_reboots"), 1u);
-  ASSERT_EQ(faults.machine_events().size(), 2u);
-  EXPECT_EQ(FormatMachineSchedule(faults.machine_events()), "k@1000:2 b@2000:2");
+  ASSERT_EQ(faults.events().size(), 2u);
+  EXPECT_EQ(FormatFaultSchedule(faults.events()), "k@1000:2 b@2000:2");
   ASSERT_EQ(faults.log().size(), 2u);
 }
 
 // ---- Injector attachment and cut-point bookkeeping ----
 
 // First tracer attachment wins (a Disk and a Link sharing one injector both
-// try); nullptr detaches and a new tracer can then take over.
-TEST(FaultInjectorTest, AttachTracerFirstWinsAndReattaches) {
+// try): injected faults become instants on the first tracer only.
+TEST(FaultInjectorTest, AttachTracerFirstWins) {
   FaultPlan plan;
   FaultInjector faults(plan);
   Engine engine;
   trace::Tracer t1;
   trace::Tracer t2;
+  t1.Enable();
+  t2.Enable();
 
   faults.AttachTracer(&t1, &engine);
   faults.AttachTracer(&t2, &engine);  // second attach: ignored
-  EXPECT_EQ(faults.tracer(), &t1);
+  faults.RecordMachine(FaultEvent{'k', 1000, 2});
 
-  faults.AttachTracer(nullptr, nullptr);  // detach
-  EXPECT_EQ(faults.tracer(), nullptr);
-
-  faults.AttachTracer(&t2, &engine);  // re-attach after detach
-  EXPECT_EQ(faults.tracer(), &t2);
+  ASSERT_EQ(t1.Records().size(), 1u);
+  EXPECT_STREQ(t1.Records()[0].name, "machine_kill");
+  EXPECT_TRUE(t2.Records().empty());
 }
 
 // Counters follow the same contract, and injected faults land in fault.*.
 TEST(FaultInjectorTest, AttachCountersFirstWinsAndCounts) {
   FaultPlan plan;
-  plan.wire_script = {{1, 'd', 0}};
-  plan.disk_script = {{1, 'w', 0}, {1, 'l', 0}};
+  plan.script = {{'d', 1, 0}, {'w', 1, 0}, {'l', 1, 0}};
   FaultInjector faults(plan);
   Counters c1;
   Counters c2;
@@ -531,33 +505,89 @@ TEST(FaultInjectorTest, AttachCountersFirstWinsAndCounts) {
   EXPECT_EQ(c1.Get("fault.disk_lost_writes"), 1u);
   EXPECT_EQ(c1.Get("fault.disk_latent"), 1u);
   EXPECT_EQ(c2.Get("fault.net_drops"), 0u);
-
-  faults.AttachCounters(nullptr);  // detach: later faults count nowhere
-  faults.AttachCounters(&c2);      // and a fresh surface can take over
 }
 
-// The cut-point predicate flips exactly at the k-th durable block write: the
-// k-th OnBlockWritten returns true (power is lost after it) and pending goes
-// false from that instant on.
+// The k-th OnBlockWritten returns true (power is lost after it) and the cut
+// never re-fires.
 TEST(FaultInjectorTest, PowerCutFiresAtExactlyKthWrite) {
   FaultPlan plan;
   plan.power_cut_after_blocks = 3;
   FaultInjector faults(plan);
 
-  EXPECT_TRUE(faults.power_cut_pending());
   EXPECT_FALSE(faults.OnBlockWritten(10));  // write 1
-  EXPECT_TRUE(faults.power_cut_pending());
   EXPECT_FALSE(faults.OnBlockWritten(11));  // write 2
-  EXPECT_TRUE(faults.power_cut_pending());
   EXPECT_TRUE(faults.OnBlockWritten(12));   // write 3: the cut
-  EXPECT_FALSE(faults.power_cut_pending());
   EXPECT_FALSE(faults.OnBlockWritten(13));  // never re-fires
   EXPECT_EQ(faults.stats().power_cuts, 1u);
+  EXPECT_EQ(faults.log(), (std::vector<std::string>{"power-cut after-block=12 writes=3"}));
 
   // k = 0 disables the mechanism entirely.
   FaultInjector off(FaultPlan{});
-  EXPECT_FALSE(off.power_cut_pending());
   EXPECT_FALSE(off.OnBlockWritten(1));
+}
+
+// ---- One injector, two layers, one replayable stream ----
+
+struct SharedRun {
+  std::vector<std::string> log;
+  std::vector<FaultEvent> events;
+};
+
+// One injector armed on both a disk and a link. Each round sends two frames,
+// then writes a block and reads it back, so the layers' consultations
+// interleave on the one engine.
+SharedRun RunSharedDiskAndLink(const FaultPlan& plan) {
+  Engine engine;
+  hw::PhysMem mem(16);
+  hw::Disk disk(&engine, &mem, hw::DiskGeometry{}, 200);
+  hw::Nic a(0), b(1);
+  hw::Link link(&engine, 100.0, 40.0, 200);
+  link.Connect(&a, &b);
+  b.SetReceiveHandler([](hw::Packet) {});
+  FaultInjector faults(plan);
+  disk.SetFaultInjector(&faults);
+  link.SetFaultInjector(&faults);
+  const hw::FrameId f = *mem.Alloc();
+  for (uint32_t i = 0; i < 40; ++i) {
+    a.Transmit(hw::Packet{std::vector<uint8_t>(64, 0)});
+    a.Transmit(hw::Packet{std::vector<uint8_t>(64, 0)});
+    disk.Submit({.write = true, .start = i, .nblocks = 1, .frames = {f}, .done = {}});
+    disk.Submit({.write = false, .start = i, .nblocks = 1, .frames = {f}, .done = {}});
+    engine.RunUntilIdle();
+  }
+  return {faults.log(), faults.events()};
+}
+
+// A rate-mode run records wire and media faults into one events() stream in
+// consultation order; replaying that stream as FaultPlan::script re-executes
+// the identical faults: same log, same events.
+TEST(FaultInjectorTest, SharedDiskAndLinkRecordOneReplayableStream) {
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.net_drop_rate = 0.1;
+  plan.net_corrupt_rate = 0.1;
+  plan.net_duplicate_rate = 0.1;
+  plan.disk_lost_rate = 0.1;
+  plan.disk_misdirect_rate = 0.1;
+  plan.disk_rot_rate = 0.1;
+  plan.disk_latent_rate = 0.1;
+  const SharedRun recorded = RunSharedDiskAndLink(plan);
+
+  std::string kinds;
+  for (const FaultEvent& e : recorded.events) {
+    kinds += e.kind;
+  }
+  for (char k : std::string("dcuwmlr")) {
+    EXPECT_NE(kinds.find(k), std::string::npos) << "no '" << k << "' in " << kinds;
+  }
+  // Every injected fault is a replayable event (no request errors or cuts armed).
+  EXPECT_EQ(recorded.events.size(), recorded.log.size());
+
+  FaultPlan replay;
+  replay.script = recorded.events;
+  const SharedRun replayed = RunSharedDiskAndLink(replay);
+  EXPECT_EQ(replayed.log, recorded.log);
+  EXPECT_EQ(FormatFaultSchedule(replayed.events), FormatFaultSchedule(recorded.events));
 }
 
 }  // namespace
