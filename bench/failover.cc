@@ -7,7 +7,7 @@
 // client machines, health checks armed. A machine schedule kills one backend
 // mid-sweep and reboots it later, several cycles, alternating victims. The
 // balancer ejects the victim after `fall` missed probes, evicts its pinned
-// flows (they reroute to the survivor), and readmits it after `rise`
+// flows (they reroute to the survivor), and readmits it after two
 // post-reboot successes. Gates: worst-cycle goodput during the outage window
 // stays >= min_armed.worst_outage_goodput_frac of steady state,
 // post-readmission goodput recovers to >= min_armed.worst_recovered_goodput_frac,
@@ -65,7 +65,7 @@ constexpr sim::Cycles kCyclePeriod = 100 * kCyclesPerMs;
 constexpr sim::Cycles kOutage = 50 * kCyclesPerMs;
 constexpr int kCycles = 4;
 // The outage window closes this long after the reboot: wide enough to contain
-// the readmission (rise * interval + slack), so "outage goodput" covers the
+// the readmission (two probe intervals + slack), so "outage goodput" covers the
 // full dead-to-readmitted span.
 constexpr sim::Cycles kReadmitMargin = 6 * kCyclesPerMs;
 
@@ -115,7 +115,6 @@ Fleet BuildFleet(bool health_checks, bool client_retry, uint32_t threads,
   tc.health.interval_us = 1'000;
   tc.health.timeout_us = 400;
   tc.health.fall = 3;
-  tc.health.rise = 2;
   f.topo = std::make_unique<cluster::Topology>(tc);
   cluster::Topology& topo = *f.topo;
 

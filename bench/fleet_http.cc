@@ -225,7 +225,6 @@ FleetRunResult RunFleetCluster(double offered_per_sec, bool armed,
   tc.clients = kClients;
   tc.front_end_lb = false;  // per-client wires, as on the historical testbed
   tc.threads = threads;
-  tc.client_mbit_per_s = 1000.0;
   tc.client_latency_us = 40.0;
   tc.machine.mem_frames = 256;
   tc.machine.disks.clear();
@@ -245,7 +244,7 @@ FleetRunResult RunFleetCluster(double offered_per_sec, bool armed,
                           /*ip=*/cluster::Topology::kVip, opts);
   server.SetOverloadPolicy(FleetPolicy(armed));
   for (size_t i = 0; i < kNumDocs; ++i) {
-    server.AddDocument("d" + std::to_string(i),
+    server.AddDocument(std::string("d") + std::to_string(i),
                        std::vector<uint8_t>(DocBytes(i), static_cast<uint8_t>(i)));
   }
   EXO_CHECK_EQ(server.Listen(80), Status::kOk);

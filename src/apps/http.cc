@@ -74,12 +74,8 @@ HttpServer::HttpServer(sim::Engine* engine, const sim::CostModel* cost, ServerSt
   hooks.cost = cost_;
   hooks.cpu = &cpu_;
   hooks.transmit = [this](hw::Packet p, sim::Cycles when) {
-    // Route by destination IP (offset 5..8 of the frame); one client per link.
-    net::IpAddr dst = static_cast<net::IpAddr>(p.bytes[5]) |
-                      (static_cast<net::IpAddr>(p.bytes[6]) << 8) |
-                      (static_cast<net::IpAddr>(p.bytes[7]) << 16) |
-                      (static_cast<net::IpAddr>(p.bytes[8]) << 24);
-    auto it = routes_.find(dst);
+    // Route by destination IP; one client per link.
+    auto it = routes_.find(net::PeekDstIp(p));
     if (it == routes_.end()) {
       return;
     }

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "sim/bytes.h"
+
 namespace exo::apps {
 
 namespace {
@@ -14,17 +16,10 @@ constexpr uint8_t kBlockCompressed = 1;
 constexpr uint8_t kBlockStored = 0;
 constexpr uint32_t kBlockSize = 65536;
 
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(std::span<const uint8_t> in, size_t off) {
-  return static_cast<uint32_t>(in[off]) | (static_cast<uint32_t>(in[off + 1]) << 8) |
-         (static_cast<uint32_t>(in[off + 2]) << 16) |
-         (static_cast<uint32_t>(in[off + 3]) << 24);
-}
+using sim::AppendLe16;
+using sim::AppendLe32;
+using sim::LoadLe16;
+using sim::LoadLe32;
 
 // Compresses one block; returns the token stream (without header).
 std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
@@ -75,8 +70,7 @@ std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
       flush_literals();
       out.push_back(0x80);  // match token
       out.push_back(static_cast<uint8_t>(best_len));
-      out.push_back(static_cast<uint8_t>(best_dist));
-      out.push_back(static_cast<uint8_t>(best_dist >> 8));
+      AppendLe16(out, static_cast<uint16_t>(best_dist));
       for (uint32_t k = 1; k < best_len && i + k + kMinMatch <= in.size(); k += 3) {
         head[hash4(i + k)] = static_cast<uint32_t>(i + k);
       }
@@ -95,7 +89,7 @@ std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
 std::vector<uint8_t> LzCompress(std::span<const uint8_t> input) {
   std::vector<uint8_t> out;
   out.reserve(input.size() / 2 + 64);
-  PutU32(out, static_cast<uint32_t>(input.size()));
+  AppendLe32(out, static_cast<uint32_t>(input.size()));
   for (size_t off = 0; off < input.size() || (input.empty() && off == 0); off += kBlockSize) {
     if (input.empty()) {
       break;
@@ -105,13 +99,13 @@ std::vector<uint8_t> LzCompress(std::span<const uint8_t> input) {
     auto packed = CompressBlock(block);
     if (packed.size() < n) {
       out.push_back(kBlockCompressed);
-      PutU32(out, static_cast<uint32_t>(packed.size()));
-      PutU32(out, static_cast<uint32_t>(n));
+      AppendLe32(out, static_cast<uint32_t>(packed.size()));
+      AppendLe32(out, static_cast<uint32_t>(n));
       out.insert(out.end(), packed.begin(), packed.end());
     } else {
       out.push_back(kBlockStored);
-      PutU32(out, static_cast<uint32_t>(n));
-      PutU32(out, static_cast<uint32_t>(n));
+      AppendLe32(out, static_cast<uint32_t>(n));
+      AppendLe32(out, static_cast<uint32_t>(n));
       out.insert(out.end(), block.begin(), block.end());
     }
   }
@@ -131,7 +125,7 @@ std::vector<uint8_t> LzDecompress(std::span<const uint8_t> input, bool* ok) {
   if (input.size() < 4) {
     return fail();
   }
-  uint32_t total = GetU32(input, 0);
+  uint32_t total = LoadLe32(input, 0);
   std::vector<uint8_t> out;
   out.reserve(total);
   size_t pos = 4;
@@ -140,8 +134,8 @@ std::vector<uint8_t> LzDecompress(std::span<const uint8_t> input, bool* ok) {
       return fail();
     }
     uint8_t kind = input[pos];
-    uint32_t packed_len = GetU32(input, pos + 1);
-    uint32_t raw_len = GetU32(input, pos + 5);
+    uint32_t packed_len = LoadLe32(input, pos + 1);
+    uint32_t raw_len = LoadLe32(input, pos + 5);
     pos += 9;
     if (pos + packed_len > input.size()) {
       return fail();
@@ -161,7 +155,7 @@ std::vector<uint8_t> LzDecompress(std::span<const uint8_t> input, bool* ok) {
           return fail();
         }
         uint32_t len = input[pos + 1];
-        uint32_t dist = input[pos + 2] | (input[pos + 3] << 8);
+        uint32_t dist = LoadLe16(input, pos + 2);
         pos += 4;
         if (dist == 0 || dist > out.size()) {
           return fail();

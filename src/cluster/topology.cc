@@ -1,5 +1,6 @@
 #include "cluster/topology.h"
 
+#include <optional>
 #include <utility>
 
 #include "net/packet.h"
@@ -8,20 +9,16 @@ namespace exo::cluster {
 
 namespace {
 
-uint32_t LoadLe32(const hw::Packet& p, uint32_t off) {
-  return static_cast<uint32_t>(p.bytes[off]) |
-         (static_cast<uint32_t>(p.bytes[off + 1]) << 8) |
-         (static_cast<uint32_t>(p.bytes[off + 2]) << 16) |
-         (static_cast<uint32_t>(p.bytes[off + 3]) << 24);
-}
-
-uint16_t LoadLe16(const hw::Packet& p, uint32_t off) {
-  return static_cast<uint16_t>(static_cast<uint32_t>(p.bytes[off]) |
-                               (static_cast<uint32_t>(p.bytes[off + 1]) << 8));
-}
-
-// Frames shorter than the transport header can't be routed.
-constexpr size_t kMinRoutable = net::kOffDstPort + 2;
+// Every fleet wire, balancer <-> server and client <-> fleet alike.
+constexpr double kWireMbitPerS = 1000.0;
+// How long a flow pin lingers after a client FIN before eviction. The close
+// handshake (server FIN/ACK, final client ACK) must still route to the pinned
+// backend; evicting on the FIN itself would misroute it.
+constexpr double kPinLingerUs = 500.0;
+// Consecutive probe successes before an ejected backend is readmitted.
+constexpr uint32_t kHealthRise = 2;
+// Probes land in interval * (1 +/- kProbeJitterFrac).
+constexpr double kProbeJitterFrac = 0.25;
 
 }  // namespace
 
@@ -84,7 +81,7 @@ void Topology::WireBalancer() {
   // Balancer NIC j < clients faces client j; NIC clients + k faces server k.
   for (uint32_t j = 0; j < config_.clients; ++j) {
     cluster_.Connect(shard_of(0), &lb.nic(j), shard_of(client_id(j)),
-                     &client(j).nic(0), config_.client_mbit_per_s,
+                     &client(j).nic(0), kWireMbitPerS,
                      config_.client_latency_us, mhz);
     lb.nic(j).SetReceiveHandler([this, j](hw::Packet p) {
       ForwardFromClient(j, std::move(p));
@@ -93,7 +90,7 @@ void Topology::WireBalancer() {
   for (uint32_t k = 0; k < config_.servers; ++k) {
     cluster_.Connect(shard_of(0), &lb.nic(config_.clients + k),
                      shard_of(server_id(k)), &server(k).nic(0),
-                     config_.rack_mbit_per_s, config_.rack_latency_us, mhz);
+                     kWireMbitPerS, config_.rack_latency_us, mhz);
     lb.nic(config_.clients + k).SetReceiveHandler([this, k](hw::Packet p) {
       OnServerFrame(k, std::move(p));
     });
@@ -106,17 +103,8 @@ void Topology::WireDirect() {
     const uint32_t k = server_for_client(j);
     cluster_.Connect(shard_of(server_id(k)), &server(k).nic(server_nic_for_client(j)),
                      shard_of(client_id(j)), &client(j).nic(0),
-                     config_.client_mbit_per_s, config_.client_latency_us, mhz);
+                     kWireMbitPerS, config_.client_latency_us, mhz);
   }
-}
-
-uint64_t Topology::FlowKey(const hw::Packet& p) const {
-  uint16_t port = LoadLe16(p, net::kOffSrcPort);
-  if (p.bytes[net::kOffProto] == net::kProtoTcp &&
-      p.bytes.size() >= net::kIpHeaderBytes + net::kTcpHeaderBytes) {
-    port = LoadLe16(p, net::kIpHeaderBytes);  // real TCP source port
-  }
-  return (static_cast<uint64_t>(LoadLe32(p, net::kOffSrcIp)) << 16) | port;
 }
 
 uint32_t Topology::PickBackend() {
@@ -141,7 +129,7 @@ void Topology::EvictPin(uint64_t flow, bool reroute_expected) {
 }
 
 void Topology::ForwardFromClient(uint32_t client_nic, hw::Packet p) {
-  if (p.bytes.size() < kMinRoutable) {
+  if (p.bytes.size() < net::kMinRoutableBytes) {
     ++*lb_no_route_;
     return;
   }
@@ -150,7 +138,7 @@ void Topology::ForwardFromClient(uint32_t client_nic, hw::Packet p) {
   // ejected backends; existing pins are honored as-is — with health checks
   // disabled a pinned flow keeps routing to a dead backend (the blackhole
   // bench/failover demonstrates).
-  const uint64_t flow = FlowKey(p);
+  const uint64_t flow = net::PeekFlowKey(p);
   auto it = lb_flows_.find(flow);
   if (it == lb_flows_.end()) {
     const uint32_t backend = PickBackend();
@@ -170,18 +158,16 @@ void Topology::ForwardFromClient(uint32_t client_nic, hw::Packet p) {
   // (stale pins would also mis-route a reused source port after a failover).
   // RST tears the pin down immediately; FIN starts an epoch-guarded linger so
   // the rest of the close handshake still reaches the pinned backend.
-  constexpr uint32_t kFlagsOff = net::kIpHeaderBytes + 12;
   bool evict_now = false;
-  if (p.bytes[net::kOffProto] == net::kProtoTcp && p.bytes.size() > kFlagsOff) {
-    const uint8_t flags = p.bytes[kFlagsOff];
-    if ((flags & net::kFlagRst) != 0) {
+  if (const std::optional<uint8_t> flags = net::PeekTcpFlags(p)) {
+    if ((*flags & net::kFlagRst) != 0) {
       evict_now = true;
-    } else if ((flags & net::kFlagFin) != 0) {
+    } else if ((*flags & net::kFlagFin) != 0) {
       if (!pin.closing) {
         pin.closing = true;
         const uint64_t epoch = ++pin.close_epoch;
         const sim::Cycles linger = static_cast<sim::Cycles>(
-            config_.lb_pin_linger_us * config_.machine.cost.cpu_mhz);
+            kPinLingerUs * config_.machine.cost.cpu_mhz);
         engine_of(0).ScheduleAfter(linger, [this, flow, epoch] {
           auto fit = lb_flows_.find(flow);
           if (fit != lb_flows_.end() && fit->second.closing &&
@@ -190,7 +176,7 @@ void Topology::ForwardFromClient(uint32_t client_nic, hw::Packet p) {
           }
         });
       }
-    } else if (pin.closing && (flags & net::kFlagAck) == 0) {
+    } else if (pin.closing && (*flags & net::kFlagAck) == 0) {
       // Non-close traffic (e.g. a reused source port's SYN) revives the pin;
       // the pending eviction sees a bumped epoch and stands down.
       pin.closing = false;
@@ -213,13 +199,9 @@ void Topology::ForwardFromClient(uint32_t client_nic, hw::Packet p) {
 void Topology::OnServerFrame(uint32_t backend, hw::Packet p) {
   // Probe echoes (hw::kProbeProto) are balancer-internal liveness traffic;
   // everything else forwards to the addressed client.
-  if (!p.bytes.empty() && p.bytes[0] == hw::kProbeProto &&
-      p.bytes.size() >= hw::kProbeFrameBytes) {
+  if (hw::IsProbeFrame(p)) {
     if (backend < lb_health_.size()) {
-      uint64_t seq = 0;
-      for (uint32_t i = 0; i < 8; ++i) {
-        seq |= static_cast<uint64_t>(p.bytes[9 + i]) << (8 * i);
-      }
+      const uint64_t seq = hw::ProbeSeq(p);
       BackendHealth& h = lb_health_[backend];
       if (seq > h.last_reply_seq) {
         h.last_reply_seq = seq;
@@ -227,7 +209,7 @@ void Topology::OnServerFrame(uint32_t backend, hw::Packet p) {
       h.strikes = 0;
       if (h.ejected) {
         ++h.successes;
-        if (h.successes >= config_.health.rise) {
+        if (h.successes >= kHealthRise) {
           Readmit(backend);
         }
       }
@@ -238,13 +220,13 @@ void Topology::OnServerFrame(uint32_t backend, hw::Packet p) {
 }
 
 void Topology::ForwardFromServer(hw::Packet p) {
-  if (p.bytes.size() < kMinRoutable) {
+  if (p.bytes.size() < net::kMinRoutableBytes) {
     ++*lb_no_route_;
     return;
   }
   // Replies carry the client's address as destination; client ips are 1-based
   // NIC indices on the balancer.
-  const uint32_t dst_ip = LoadLe32(p, net::kOffDstIp);
+  const net::IpAddr dst_ip = net::PeekDstIp(p);
   if (dst_ip < 1 || dst_ip > config_.clients) {
     ++*lb_no_route_;
     return;
@@ -281,17 +263,14 @@ void Topology::ArmHealthChecks(sim::Cycles until) {
 }
 
 void Topology::ScheduleProbe(uint32_t backend) {
-  // Seeded jitter: probes land in interval * (1 +/- jitter_frac), so backends
-  // don't probe in lockstep yet every run with one seed is bit-identical.
+  // Seeded jitter: backends don't probe in lockstep, yet every run with one
+  // seed is bit-identical.
   BackendHealth& h = lb_health_[backend];
   sim::Cycles delay = health_interval_;
-  const double frac = config_.health.jitter_frac;
-  if (frac > 0) {
-    const sim::Cycles span = static_cast<sim::Cycles>(
-        static_cast<double>(health_interval_) * (frac < 1.0 ? frac : 1.0));
-    if (span > 0) {
-      delay = health_interval_ - span + h.rng.Below(2 * span + 1);
-    }
+  const sim::Cycles span =
+      static_cast<sim::Cycles>(static_cast<double>(health_interval_) * kProbeJitterFrac);
+  if (span > 0) {
+    delay = health_interval_ - span + h.rng.Below(2 * span + 1);
   }
   const sim::Cycles when = engine_of(0).now() + delay;
   if (when > health_until_) {
@@ -306,17 +285,8 @@ void Topology::ScheduleProbe(uint32_t backend) {
 void Topology::SendProbe(uint32_t backend) {
   BackendHealth& h = lb_health_[backend];
   const uint64_t seq = ++h.probes_sent;
-  hw::Packet p;
-  p.bytes.assign(hw::kProbeFrameBytes, 0);
-  p.bytes[0] = hw::kProbeProto;
   // Prober address 0 (the balancer), destination the VIP the backend answers.
-  for (uint32_t i = 0; i < 4; ++i) {
-    p.bytes[5 + i] = static_cast<uint8_t>((kVip >> (8 * i)) & 0xff);
-  }
-  for (uint32_t i = 0; i < 8; ++i) {
-    p.bytes[9 + i] = static_cast<uint8_t>((seq >> (8 * i)) & 0xff);
-  }
-  balancer().nic(config_.clients + backend).Transmit(std::move(p));
+  balancer().nic(config_.clients + backend).Transmit(hw::MakeProbeFrame(kVip, seq));
   engine_of(0).ScheduleAfter(health_timeout_, [this, backend, seq] {
     if (lb_health_[backend].last_reply_seq < seq) {
       OnProbeMiss(backend);

@@ -37,16 +37,14 @@ namespace exo::cluster {
 
 // Active health checking for the balancer (docs/CLUSTER.md "Machine failure
 // and failover"): the balancer probes each backend's NIC firmware on a
-// seeded-jitter interval, ejects a backend after `fall` consecutive missed
-// replies (evicting its pinned flows), and readmits it after `rise`
-// consecutive successes. Off until Topology::ArmHealthChecks — an unarmed
-// topology schedules no probe events.
+// seeded-jitter interval (interval * (1 +/- 0.25)), ejects a backend after
+// `fall` consecutive missed replies (evicting its pinned flows), and readmits
+// it after two consecutive successes. Off until Topology::ArmHealthChecks — an
+// unarmed topology schedules no probe events.
 struct HealthCheckConfig {
   double interval_us = 2000.0;  // mean per-backend probe interval
   double timeout_us = 1000.0;   // reply deadline per probe
   uint32_t fall = 3;            // consecutive misses before ejection
-  uint32_t rise = 2;            // consecutive successes before readmission
-  double jitter_frac = 0.25;    // probes land in interval * (1 +/- jitter_frac)
 };
 
 struct TopologyConfig {
@@ -59,19 +57,14 @@ struct TopologyConfig {
   uint32_t machines_per_shard = 1;
   uint32_t threads = 1;
   uint64_t seed = 1;
-  // Balancer <-> server wires (intra-rack) and client <-> fleet wires.
-  double rack_mbit_per_s = 1000.0;
+  // Balancer <-> server wires (intra-rack) and client <-> fleet wires; both
+  // run at 1 Gbit/s.
   double rack_latency_us = 20.0;
-  double client_mbit_per_s = 1000.0;
   double client_latency_us = 40.0;
   // Balancer CPU cycles per forwarded frame (store-and-forward cost).
   sim::Cycles lb_forward_cost = 600;
   // Active backend health checks (armed with ArmHealthChecks; off by default).
   HealthCheckConfig health;
-  // How long a flow pin lingers after a client FIN before eviction. The close
-  // handshake (server FIN/ACK, final client ACK) must still route to the
-  // pinned backend; evicting on the FIN itself would misroute it.
-  double lb_pin_linger_us = 500.0;
   // Template for every machine; seed is overridden per machine with
   // DeriveSeed(seed, machine_id) and num_nics with the wiring's fan-out.
   hw::MachineConfig machine;
@@ -197,10 +190,6 @@ class Topology {
   void ForwardFromClient(uint32_t client_nic, hw::Packet p);
   void OnServerFrame(uint32_t backend, hw::Packet p);
   void ForwardFromServer(hw::Packet p);
-  // Flow key: (src ip, src port). TCP frames carry their real source port in
-  // the TCP header (net::kIpHeaderBytes); everything else keys on the generic
-  // net::kOffSrcPort bytes, preserving the historical non-TCP pinning.
-  uint64_t FlowKey(const hw::Packet& p) const;
   // Round-robin over non-ejected backends; returns kNoBackend if all ejected.
   static constexpr uint32_t kNoBackend = 0xffffffff;
   uint32_t PickBackend();
@@ -217,7 +206,7 @@ class Topology {
   std::vector<std::unique_ptr<hw::Machine>> machines_;
   // Balancer state; lives on the balancer's shard, touched only by it.
   std::unique_ptr<sim::CpuMeter> lb_cpu_;
-  std::map<uint64_t, FlowPin> lb_flows_;  // (src ip, src port) -> pin
+  std::map<uint64_t, FlowPin> lb_flows_;  // net::PeekFlowKey -> pin
   uint32_t lb_next_backend_ = 0;
   sim::Counters::Slot* lb_forwarded_ = nullptr;
   sim::Counters::Slot* lb_no_route_ = nullptr;

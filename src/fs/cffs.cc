@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "sim/bytes.h"
 #include "udf/assembler.h"
 
 namespace exo::fs {
@@ -26,21 +27,19 @@ constexpr uint8_t kKindFile = 1;
 constexpr uint8_t kKindDir = 2;
 constexpr uint8_t kKindHeader = 3;
 
-uint16_t GetU16(std::span<const uint8_t> b, uint32_t off) {
-  return static_cast<uint16_t>(b[off] | (b[off + 1] << 8));
-}
-uint32_t GetU32(std::span<const uint8_t> b, uint32_t off) {
-  return static_cast<uint32_t>(b[off]) | (static_cast<uint32_t>(b[off + 1]) << 8) |
-         (static_cast<uint32_t>(b[off + 2]) << 16) | (static_cast<uint32_t>(b[off + 3]) << 24);
-}
+using sim::LoadLe16;
+using sim::LoadLe32;
 
 xn::ByteMod ModU8(uint32_t off, uint8_t v) { return {off, {v}}; }
 xn::ByteMod ModU16(uint32_t off, uint16_t v) {
-  return {off, {static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8)}};
+  xn::ByteMod m{off, {}};
+  sim::AppendLe16(m.bytes, v);
+  return m;
 }
 xn::ByteMod ModU32(uint32_t off, uint32_t v) {
-  return {off, {static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8),
-                static_cast<uint8_t>(v >> 16), static_cast<uint8_t>(v >> 24)}};
+  xn::ByteMod m{off, {}};
+  sim::AppendLe32(m.bytes, v);
+  return m;
 }
 xn::ByteMod ModBytes(uint32_t off, std::span<const uint8_t> bytes) {
   return {off, std::vector<uint8_t>(bytes.begin(), bytes.end())};
@@ -360,18 +359,18 @@ Result<Cffs::Entry> Cffs::ReadSlot(hw::BlockId block, uint8_t slot) {
   std::span<const uint8_t> s = bytes->subspan(slot * kSlotSize, kSlotSize);
   Entry e;
   e.kind = s[kOffKind];
-  e.uid = GetU16(s, kOffUid);
-  e.size = GetU32(s, kOffSize);
-  e.mtime = GetU32(s, kOffMtime);
-  e.nblocks = GetU32(s, kOffNBlocks);
+  e.uid = LoadLe16(s, kOffUid);
+  e.size = LoadLe32(s, kOffSize);
+  e.mtime = LoadLe32(s, kOffMtime);
+  e.nblocks = LoadLe32(s, kOffNBlocks);
   uint8_t nl = s[kOffNameLen];
   e.name.assign(reinterpret_cast<const char*>(s.data() + kOffName),
                 std::min<size_t>(nl, kNameMax));
   for (uint32_t i = 0; i < kNumDirect; ++i) {
-    e.direct[i] = GetU32(s, kOffDirect + i * 4);
+    e.direct[i] = LoadLe32(s, kOffDirect + i * 4);
   }
   for (uint32_t i = 0; i < kNumIndirect; ++i) {
-    e.indirect[i] = GetU32(s, kOffIndirect + i * 4);
+    e.indirect[i] = LoadLe32(s, kOffIndirect + i * 4);
   }
   backend_->ChargeCpu(30);  // decode cost
   return e;
@@ -414,9 +413,9 @@ Result<std::vector<hw::BlockId>> Cffs::DirBlocks(const DirRef& d) {
     if (!ind.ok()) {
       return ind.status();
     }
-    uint16_t count = GetU16(*ind, 0);
+    uint16_t count = LoadLe16(*ind, 0);
     for (uint16_t i = 0; i < count && remaining > 0; ++i, --remaining) {
-      hw::BlockId db = GetU32(*ind, 4 + i * 4u);
+      hw::BlockId db = LoadLe32(*ind, 4 + i * 4u);
       out.push_back(db);
       RememberParent(db, e.indirect[k]);
     }
@@ -710,7 +709,7 @@ Result<std::pair<hw::BlockId, hw::BlockId>> Cffs::DataBlockAt(const Handle& h, c
   if (!ind.ok()) {
     return ind.status();
   }
-  hw::BlockId db = GetU32(*ind, 4 + i * 4);
+  hw::BlockId db = LoadLe32(*ind, 4 + i * 4);
   RememberParent(db, e.indirect[k]);
   return std::make_pair(db, e.indirect[k]);
 }
@@ -987,7 +986,7 @@ Result<std::vector<DirEnt>> Cffs::ReadDir(const std::string& path) {
       DirEnt de;
       de.name.assign(reinterpret_cast<const char*>(s.data() + kOffName), s[kOffNameLen]);
       de.is_dir = s[kOffKind] == kKindDir;
-      de.size = GetU32(s, kOffSize);
+      de.size = LoadLe32(s, kOffSize);
       out.push_back(std::move(de));
       backend_->ChargeCpu(40);
     }
@@ -1005,10 +1004,10 @@ Status Cffs::FreeFileBlocks(const Handle& h, const Entry& e) {
     if (!ind.ok()) {
       return ind.status();
     }
-    uint16_t count = GetU16(*ind, 0);
+    uint16_t count = LoadLe16(*ind, 0);
     std::vector<udf::Extent> ext;
     for (uint16_t i = 0; i < count; ++i) {
-      ext.push_back({GetU32(*ind, 4 + i * 4u), 1, xn::kDataTemplate});
+      ext.push_back({LoadLe32(*ind, 4 + i * 4u), 1, xn::kDataTemplate});
     }
     if (!ext.empty()) {
       xn::Mods mods = {ModU16(0, 0)};
@@ -1083,10 +1082,10 @@ Status Cffs::Unlink(const std::string& path, uint16_t uid) {
       if (!ind.ok()) {
         return ind.status();
       }
-      uint16_t count = GetU16(*ind, 0);
+      uint16_t count = LoadLe16(*ind, 0);
       std::vector<udf::Extent> ext;
       for (uint16_t i = 0; i < count; ++i) {
-        ext.push_back({GetU32(*ind, 4 + i * 4u), 1, dir_tmpl_});
+        ext.push_back({LoadLe32(*ind, 4 + i * 4u), 1, dir_tmpl_});
       }
       if (!ext.empty()) {
         Status s = backend_->Dealloc(e->indirect[k], {ModU16(0, 0)}, ext);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/bytes.h"
+
 namespace exo::fs {
 
 namespace {
@@ -16,13 +18,8 @@ constexpr uint32_t kOffDirect = 16;
 constexpr uint32_t kOffIndirect = 48;
 constexpr uint32_t kInodeSize = 128;
 
-uint16_t GetU16(std::span<const uint8_t> b, uint32_t off) {
-  return static_cast<uint16_t>(b[off] | (b[off + 1] << 8));
-}
-uint32_t GetU32(std::span<const uint8_t> b, uint32_t off) {
-  return static_cast<uint32_t>(b[off]) | (static_cast<uint32_t>(b[off + 1]) << 8) |
-         (static_cast<uint32_t>(b[off + 2]) << 16) | (static_cast<uint32_t>(b[off + 3]) << 24);
-}
+using sim::LoadLe16;
+using sim::LoadLe32;
 
 Result<std::vector<std::string>> SplitPath(const std::string& path) {
   if (path.empty() || path[0] != '/') {
@@ -118,15 +115,15 @@ Result<Ffs::Inode> Ffs::ReadInode(uint32_t ino) {
       bytes->subspan((ino % kInodesPerBlock) * kInodeSize, kInodeSize);
   Inode in;
   in.kind = s[kOffKind];
-  in.uid = GetU16(s, kOffUid);
-  in.size = GetU32(s, kOffSize);
-  in.mtime = GetU32(s, kOffMtime);
-  in.nblocks = GetU32(s, kOffNBlocks);
+  in.uid = LoadLe16(s, kOffUid);
+  in.size = LoadLe32(s, kOffSize);
+  in.mtime = LoadLe32(s, kOffMtime);
+  in.nblocks = LoadLe32(s, kOffNBlocks);
   for (uint32_t i = 0; i < kNumDirect; ++i) {
-    in.direct[i] = GetU32(s, kOffDirect + i * 4);
+    in.direct[i] = LoadLe32(s, kOffDirect + i * 4);
   }
   for (uint32_t i = 0; i < kNumIndirect; ++i) {
-    in.indirect[i] = GetU32(s, kOffIndirect + i * 4);
+    in.indirect[i] = LoadLe32(s, kOffIndirect + i * 4);
   }
   backend_->ChargeCpu(30);
   return in;
@@ -203,7 +200,7 @@ Result<hw::BlockId> Ffs::DataBlockAt(const Inode& in, uint32_t index) {
   if (!ind.ok()) {
     return ind.status();
   }
-  return GetU32(*ind, i * 4);
+  return LoadLe32(*ind, i * 4);
 }
 
 Status Ffs::GrowFile(uint32_t ino, Inode* in, uint32_t new_nblocks) {
@@ -284,7 +281,7 @@ Status Ffs::FreeBlocks(uint32_t ino, Inode* in) {
       return ind.status();
     }
     for (uint32_t i = 0; i < held; ++i) {
-      ext.push_back({GetU32(*ind, i * 4), 1, 0});
+      ext.push_back({LoadLe32(*ind, i * 4), 1, 0});
     }
     ext.push_back({in->indirect[k], 1, 1});
   }
@@ -320,7 +317,7 @@ Result<uint32_t> Ffs::LookupIn(uint32_t dir_ino, const std::string& name) {
     }
     for (uint32_t e = 0; e < hw::kBlockSize / kDirEntSize; ++e) {
       std::span<const uint8_t> s = bytes->subspan(e * kDirEntSize, kDirEntSize);
-      uint32_t ino = GetU32(s, 0);
+      uint32_t ino = LoadLe32(s, 0);
       if (ino == 0) {
         continue;
       }
@@ -385,7 +382,7 @@ Status Ffs::AddDirEnt(uint32_t dir_ino, const std::string& name, uint32_t ino, u
       return bytes.status();
     }
     for (uint32_t e = 0; e < hw::kBlockSize / kDirEntSize; ++e) {
-      if (GetU32(*bytes, e * kDirEntSize) != 0) {
+      if (LoadLe32(*bytes, e * kDirEntSize) != 0) {
         continue;
       }
       auto wb = backend_->GetDataWritable(*b, super_);
@@ -441,7 +438,7 @@ Status Ffs::RemoveDirEnt(uint32_t dir_ino, const std::string& name) {
     }
     for (uint32_t e = 0; e < hw::kBlockSize / kDirEntSize; ++e) {
       std::span<const uint8_t> s = bytes->subspan(e * kDirEntSize, kDirEntSize);
-      if (GetU32(s, 0) == 0) {
+      if (LoadLe32(s, 0) == 0) {
         continue;
       }
       uint8_t nl = s[5];
@@ -709,7 +706,7 @@ Result<std::vector<DirEnt>> Ffs::ReadDir(const std::string& path) {
     }
     for (uint32_t e = 0; e < hw::kBlockSize / kDirEntSize; ++e) {
       std::span<const uint8_t> s = bytes->subspan(e * kDirEntSize, kDirEntSize);
-      uint32_t ino = GetU32(s, 0);
+      uint32_t ino = LoadLe32(s, 0);
       if (ino == 0) {
         continue;
       }

@@ -118,7 +118,6 @@ class Disk {
       faults_->AttachCounters(counters_);  // fault.* counters on the standard surface
     }
   }
-  sim::FaultInjector* fault_injector() const { return faults_; }
 
   // Caches `disk.rejected` (malformed submissions refused at the controller)
   // and `disk.dropped` (torn blocks: accepted writes lost to a power cut)

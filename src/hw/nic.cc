@@ -3,7 +3,28 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/bytes.h"
+
 namespace exo::hw {
+
+Packet MakeProbeFrame(uint32_t dst_ip, uint64_t seq) {
+  Packet p;
+  p.bytes.reserve(kProbeFrameBytes);
+  p.bytes.push_back(kProbeProto);
+  sim::AppendLe32(p.bytes, 0);
+  sim::AppendLe32(p.bytes, dst_ip);
+  sim::AppendLe32(p.bytes, static_cast<uint32_t>(seq));
+  sim::AppendLe32(p.bytes, static_cast<uint32_t>(seq >> 32));
+  return p;
+}
+
+bool IsProbeFrame(const Packet& p) {
+  return p.bytes.size() >= kProbeFrameBytes && p.bytes[0] == kProbeProto;
+}
+
+uint64_t ProbeSeq(const Packet& p) {
+  return sim::LoadLe32(p.bytes, 9) | (static_cast<uint64_t>(sim::LoadLe32(p.bytes, 13)) << 32);
+}
 
 bool Nic::Transmit(Packet p) {
   EXO_CHECK(link_ != nullptr);
@@ -31,8 +52,7 @@ void Nic::Deliver(Packet p) {
     }
     return;
   }
-  if (probe_responder_ && !p.bytes.empty() && p.bytes[0] == kProbeProto &&
-      p.bytes.size() >= kProbeFrameBytes) {
+  if (probe_responder_ && IsProbeFrame(p)) {
     // Firmware echo: account the rx, swap prober/destination ips, and send the
     // same frame back. Runs before the host handler — liveness needs no stack.
     ++stats_.rx_packets;
@@ -55,49 +75,64 @@ void Nic::Deliver(Packet p) {
   }
 }
 
+void Link::SetFaultInjectorFor(const Nic* sender, sim::FaultInjector* faults) {
+  Direction& dir = direction_from(sender);
+  dir.faults = faults;
+  if (dir.faults != nullptr && dir.tracer != nullptr) {
+    dir.faults->AttachTracer(dir.tracer, engine_for(sender));
+  }
+}
+
+void Link::AttachTracerFor(const Nic* sender, trace::Tracer* tracer, const std::string& name) {
+  Direction& dir = direction_from(sender);
+  dir.tracer = tracer;
+  if (dir.tracer != nullptr) {
+    dir.track = dir.tracer->NewTrack(name);
+    if (dir.faults != nullptr) {
+      dir.faults->AttachTracer(dir.tracer, engine_for(sender));
+    }
+  }
+}
+
 void Link::Send(Nic* from, Packet p) {
-  EXO_CHECK(from == a_ || from == b_);
+  Direction& dir = direction_from(from);
   Nic* to = from == a_ ? b_ : a_;
-  Direction& dir = from == a_ ? dir_ab_ : dir_ba_;
 
   const uint64_t wire_bytes =
       std::max<uint64_t>(p.bytes.size(), kMinFrameBytes) + kFrameWireOverhead;
   const sim::Cycles serialize =
       static_cast<sim::Cycles>(static_cast<double>(wire_bytes) * cycles_per_byte_);
 
-  const sim::Cycles start = std::max(engine_->now(), dir.busy_until);
+  const sim::Cycles start = std::max(engine_for(from)->now(), dir.busy_until);
   dir.busy_until = start + serialize;
   const sim::Cycles arrival = dir.busy_until + latency_cycles_;
 
-  const bool tracing = tracer_ != nullptr && tracer_->enabled(trace::Category::kNet);
+  trace::Tracer* tracer = dir.tracer;
+  const bool tracing = tracer != nullptr && tracer->enabled(trace::Category::kNet);
   if (tracing) {
     // Serialization windows per direction never overlap (start >= prior busy_until).
-    tracer_->Begin(trace::Category::kNet, dir.track, "wire", start, wire_bytes);
-    tracer_->End(trace::Category::kNet, dir.track, "wire", dir.busy_until, wire_bytes);
+    tracer->Begin(trace::Category::kNet, dir.track, "wire", start, wire_bytes);
+    tracer->End(trace::Category::kNet, dir.track, "wire", dir.busy_until, wire_bytes);
   }
 
-  if (faults_ != nullptr) {
-    switch (faults_->NextWireFate(p.bytes.size())) {
+  if (dir.faults != nullptr) {
+    switch (dir.faults->NextWireFate(p.bytes.size())) {
       case sim::FaultInjector::WireFate::kDrop:
         return;  // wire time was consumed, but the frame never arrives
       case sim::FaultInjector::WireFate::kCorrupt:
-        p.bytes[faults_->CorruptionOffset()] ^= 0xff;
+        p.bytes[dir.faults->CorruptionOffset()] ^= 0xff;
         break;
       case sim::FaultInjector::WireFate::kDuplicate: {
         // The duplicate trails the original by one serialization slot, as if the
         // sender's retransmit logic fired spuriously.
-        Packet copy = p;
         dir.busy_until += serialize;
         if (tracing) {
-          tracer_->Begin(trace::Category::kNet, dir.track, "wire_dup",
-                         dir.busy_until - serialize, wire_bytes);
-          tracer_->End(trace::Category::kNet, dir.track, "wire_dup", dir.busy_until,
-                       wire_bytes);
+          tracer->Begin(trace::Category::kNet, dir.track, "wire_dup",
+                        dir.busy_until - serialize, wire_bytes);
+          tracer->End(trace::Category::kNet, dir.track, "wire_dup", dir.busy_until,
+                      wire_bytes);
         }
-        engine_->ScheduleAt(dir.busy_until + latency_cycles_,
-                            [to, copy = std::move(copy)]() mutable {
-          to->Deliver(std::move(copy));
-        });
+        Arrive(to, dir.busy_until + latency_cycles_, p);
         break;
       }
       case sim::FaultInjector::WireFate::kDeliver:
@@ -106,9 +141,13 @@ void Link::Send(Nic* from, Packet p) {
   }
 
   if (tracing) {
-    tracer_->Instant(trace::Category::kNet, dir.track, "arrive", arrival, wire_bytes);
+    tracer->Instant(trace::Category::kNet, dir.track, "arrive", arrival, wire_bytes);
   }
-  engine_->ScheduleAt(arrival, [to, p = std::move(p)]() mutable { to->Deliver(std::move(p)); });
+  Arrive(to, arrival, std::move(p));
+}
+
+void Link::Arrive(Nic* to, sim::Cycles when, Packet p) {
+  engine_->ScheduleAt(when, [to, p = std::move(p)]() mutable { to->Deliver(std::move(p)); });
 }
 
 }  // namespace exo::hw

@@ -9,10 +9,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
-#include <string>
-
+#include "sim/check.h"
 #include "sim/counters.h"
 #include "sim/engine.h"
 #include "sim/fault.h"
@@ -41,6 +41,12 @@ constexpr uint32_t kFrameWireOverhead = 24;  // preamble + FCS + inter-frame gap
 // silent exactly like dead hardware.
 constexpr uint8_t kProbeProto = 0xEE;
 constexpr uint32_t kProbeFrameBytes = 17;
+
+// A probe from prober 0 to `dst_ip` carrying `seq`.
+Packet MakeProbeFrame(uint32_t dst_ip, uint64_t seq);
+bool IsProbeFrame(const Packet& p);
+// The sequence number of a probe (or its echo); requires IsProbeFrame(p).
+uint64_t ProbeSeq(const Packet& p);
 
 struct NicStats {
   uint64_t tx_packets = 0;
@@ -117,16 +123,20 @@ class Nic {
 // queue: a frame occupies the wire for (bytes + overhead) * 8 / bandwidth and arrives
 // at the far side after an additional propagation latency.
 //
-// Send and engine_for are virtual so the cluster fabric (cluster::ShardLink)
-// can reuse the NIC interface while serializing each direction on its own
-// shard's clock and delivering arrivals through the conservative-horizon
-// mailbox instead of this engine's queue.
+// This is the only wire model. The cluster fabric (cluster::ShardLink) overrides
+// just engine_for, so each direction serializes on its sender's shard clock, and
+// Arrive, so arrivals cross shards through the conservative-horizon mailbox
+// instead of this engine's queue.
+//
+// Fault injection and tracing are per direction: a direction's state is touched
+// only by its sender, which keeps a cross-shard link's packet path lock-free when
+// each direction is armed with its sender machine's injector and tracer.
 class Link {
  public:
   Link(sim::Engine* engine, double mbit_per_s, double latency_us, uint32_t cpu_mhz)
-      : engine_(engine),
-        cycles_per_byte_(static_cast<double>(cpu_mhz) * 8.0 / mbit_per_s),
-        latency_cycles_(static_cast<sim::Cycles>(latency_us * cpu_mhz)) {}
+      : latency_cycles_(static_cast<sim::Cycles>(latency_us * cpu_mhz)),
+        engine_(engine),
+        cycles_per_byte_(static_cast<double>(cpu_mhz) * 8.0 / mbit_per_s) {}
   virtual ~Link() = default;
 
   void Connect(Nic* a, Nic* b) {
@@ -137,51 +147,59 @@ class Link {
   }
 
   // Serializes a frame onto the wire and schedules its arrival at the far side.
-  virtual void Send(Nic* from, Packet p);
+  void Send(Nic* from, Packet p);
 
   // The engine carrying `side`'s events (wire serialization, tracer stamps).
   // One engine serves both sides of a plain link; a cross-shard link returns
   // the shard engine that owns that side.
   virtual sim::Engine* engine_for(const Nic* side) const { return engine_; }
 
-  // Attaches (or detaches, with nullptr) a fault injector consulted once per frame
-  // for drop/corrupt/duplicate; unarmed links skip it behind one pointer test.
+  // Arms drop/corrupt/duplicate injection for the direction whose sender is
+  // `sender` (nullptr disarms): the injector is consulted once per frame that
+  // direction carries, and an unarmed direction skips it behind one pointer
+  // test. Call after Connect. The injector is also wired to the direction's
+  // tracer, when attached, so injected fates land on the sender's timeline
+  // (first-wins).
+  void SetFaultInjectorFor(const Nic* sender, sim::FaultInjector* faults);
+  // Attaches wire-occupancy tracing (`net` spans + arrival instants) for the
+  // direction whose sender is `sender`, on a track named `name`. Its events
+  // are stamped with engine_for(sender)'s clock, so on a cross-shard link the
+  // tracer must belong to the sender's machine.
+  void AttachTracerFor(const Nic* sender, trace::Tracer* tracer, const std::string& name);
+
+  // Both directions at once, for links whose two ends share one engine.
   void SetFaultInjector(sim::FaultInjector* faults) {
-    faults_ = faults;
-    if (faults_ != nullptr && tracer_ != nullptr) {
-      faults_->AttachTracer(tracer_, engine_);  // injected fates share our timeline
-    }
+    SetFaultInjectorFor(a_, faults);
+    SetFaultInjectorFor(b_, faults);
   }
-  sim::FaultInjector* fault_injector() const { return faults_; }
-
-  // Attaches a tracer; each direction gets its own track (`name`.a2b / `name`.b2a)
-  // carrying `net` wire-occupancy spans and arrival instants.
+  // Tracks `name`.a2b, then `name`.b2a.
   void AttachTracer(trace::Tracer* tracer, const std::string& name) {
-    tracer_ = tracer;
-    if (tracer_ != nullptr) {
-      dir_ab_.track = tracer_->NewTrack(name + ".a2b");
-      dir_ba_.track = tracer_->NewTrack(name + ".b2a");
-      if (faults_ != nullptr) {
-        faults_->AttachTracer(tracer_, engine_);
-      }
-    }
+    AttachTracerFor(a_, tracer, name + ".a2b");
+    AttachTracerFor(b_, tracer, name + ".b2a");
   }
-
-  sim::Engine* engine() const { return engine_; }
 
  protected:
+  // Delivers `p` to `to` at `when`; a plain link schedules it on its engine.
+  virtual void Arrive(Nic* to, sim::Cycles when, Packet p);
+
+  sim::Cycles latency_cycles_;
+  Nic* a_ = nullptr;
+  Nic* b_ = nullptr;
+
+ private:
   struct Direction {
     sim::Cycles busy_until = 0;
+    sim::FaultInjector* faults = nullptr;
+    trace::Tracer* tracer = nullptr;
     uint32_t track = 0;
   };
+  Direction& direction_from(const Nic* sender) {
+    EXO_CHECK(sender != nullptr && (sender == a_ || sender == b_));
+    return sender == a_ ? dir_ab_ : dir_ba_;
+  }
 
   sim::Engine* engine_;
   double cycles_per_byte_;
-  sim::Cycles latency_cycles_;
-  sim::FaultInjector* faults_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  Nic* a_ = nullptr;
-  Nic* b_ = nullptr;
   Direction dir_ab_;
   Direction dir_ba_;
 };

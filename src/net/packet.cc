@@ -1,27 +1,13 @@
 #include "net/packet.h"
 
+#include "sim/bytes.h"
+
 namespace exo::net {
 
-namespace {
-
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-uint16_t GetU16(std::span<const uint8_t> b, size_t off) {
-  return static_cast<uint16_t>(b[off] | (b[off + 1] << 8));
-}
-uint32_t GetU32(std::span<const uint8_t> b, size_t off) {
-  return static_cast<uint32_t>(b[off]) | (static_cast<uint32_t>(b[off + 1]) << 8) |
-         (static_cast<uint32_t>(b[off + 2]) << 16) | (static_cast<uint32_t>(b[off + 3]) << 24);
-}
-
-}  // namespace
+using sim::AppendLe16;
+using sim::AppendLe32;
+using sim::LoadLe16;
+using sim::LoadLe32;
 
 uint32_t Checksum(std::span<const uint8_t> data) {
   uint64_t sum = 0;
@@ -46,32 +32,25 @@ uint32_t ChecksumCombine(uint32_t even_prefix_sum, uint32_t suffix_sum) {
   return static_cast<uint32_t>(sum);
 }
 
-hw::Packet EncodeTcp(const TcpSegment& seg) { return EncodeTcp(seg, seg.payload); }
-
 hw::Packet EncodeTcp(const TcpSegment& seg, std::span<const uint8_t> head,
                      std::span<const uint8_t> tail) {
-  hw::Packet p = EncodeTcp(seg, head);
-  p.bytes.insert(p.bytes.end(), tail.begin(), tail.end());
-  return p;
-}
-
-hw::Packet EncodeTcp(const TcpSegment& seg, std::span<const uint8_t> payload) {
   hw::Packet p;
-  p.bytes.reserve(kIpHeaderBytes + kTcpHeaderBytes + payload.size());
+  p.bytes.reserve(kIpHeaderBytes + kTcpHeaderBytes + head.size() + tail.size());
   p.bytes.push_back(kProtoTcp);
-  PutU32(p.bytes, seg.src_ip);
-  PutU32(p.bytes, seg.dst_ip);
-  PutU16(p.bytes, 0);  // pad to kIpHeaderBytes
+  AppendLe32(p.bytes, seg.src_ip);
+  AppendLe32(p.bytes, seg.dst_ip);
+  AppendLe16(p.bytes, 0);  // pad to kIpHeaderBytes
   p.bytes.push_back(0);
-  PutU16(p.bytes, seg.src_port);
-  PutU16(p.bytes, seg.dst_port);
-  PutU32(p.bytes, seg.seq);
-  PutU32(p.bytes, seg.ack);
+  AppendLe16(p.bytes, seg.src_port);
+  AppendLe16(p.bytes, seg.dst_port);
+  AppendLe32(p.bytes, seg.seq);
+  AppendLe32(p.bytes, seg.ack);
   p.bytes.push_back(seg.flags);
   p.bytes.push_back(0);
-  PutU16(p.bytes, seg.window);
-  PutU32(p.bytes, seg.checksum);
-  p.bytes.insert(p.bytes.end(), payload.begin(), payload.end());
+  AppendLe16(p.bytes, seg.window);
+  AppendLe32(p.bytes, seg.checksum);
+  p.bytes.insert(p.bytes.end(), head.begin(), head.end());
+  p.bytes.insert(p.bytes.end(), tail.begin(), tail.end());
   return p;
 }
 
@@ -81,48 +60,36 @@ std::optional<TcpSegment> DecodeTcp(const hw::Packet& p) {
   }
   TcpSegment s;
   std::span<const uint8_t> b = p.bytes;
-  s.src_ip = GetU32(b, 1);
-  s.dst_ip = GetU32(b, 5);
+  s.src_ip = LoadLe32(b, 1);
+  s.dst_ip = LoadLe32(b, 5);
   size_t t = kIpHeaderBytes;
-  s.src_port = GetU16(b, t);
-  s.dst_port = GetU16(b, t + 2);
-  s.seq = GetU32(b, t + 4);
-  s.ack = GetU32(b, t + 8);
+  s.src_port = LoadLe16(b, t);
+  s.dst_port = LoadLe16(b, t + 2);
+  s.seq = LoadLe32(b, t + 4);
+  s.ack = LoadLe32(b, t + 8);
   s.flags = b[t + 12];
-  s.window = GetU16(b, t + 14);
-  s.checksum = GetU32(b, t + 16);
+  s.window = LoadLe16(b, t + 14);
+  s.checksum = LoadLe32(b, t + 16);
   s.payload.assign(b.begin() + kIpHeaderBytes + kTcpHeaderBytes, b.end());
   return s;
 }
 
-hw::Packet EncodeUdp(const UdpDatagram& d) {
-  hw::Packet p;
-  p.bytes.reserve(kIpHeaderBytes + kUdpHeaderBytes + d.payload.size());
-  p.bytes.push_back(kProtoUdp);
-  PutU32(p.bytes, d.src_ip);
-  PutU32(p.bytes, d.dst_ip);
-  PutU16(p.bytes, 0);
-  p.bytes.push_back(0);
-  PutU16(p.bytes, d.src_port);
-  PutU16(p.bytes, d.dst_port);
-  PutU16(p.bytes, static_cast<uint16_t>(d.payload.size()));
-  PutU16(p.bytes, 0);
-  p.bytes.insert(p.bytes.end(), d.payload.begin(), d.payload.end());
-  return p;
+bool IsFullTcp(const hw::Packet& p) {
+  return p.bytes.size() >= kIpHeaderBytes + kTcpHeaderBytes && p.bytes[kOffProto] == kProtoTcp;
 }
 
-std::optional<UdpDatagram> DecodeUdp(const hw::Packet& p) {
-  if (p.bytes.size() < kIpHeaderBytes + kUdpHeaderBytes || p.bytes[0] != kProtoUdp) {
+IpAddr PeekDstIp(const hw::Packet& p) { return LoadLe32(p.bytes, kOffDstIp); }
+
+uint64_t PeekFlowKey(const hw::Packet& p) {
+  const Port port = LoadLe16(p.bytes, IsFullTcp(p) ? kIpHeaderBytes : kOffSrcPort);
+  return (static_cast<uint64_t>(LoadLe32(p.bytes, kOffSrcIp)) << 16) | port;
+}
+
+std::optional<uint8_t> PeekTcpFlags(const hw::Packet& p) {
+  if (!IsFullTcp(p)) {
     return std::nullopt;
   }
-  UdpDatagram d;
-  std::span<const uint8_t> b = p.bytes;
-  d.src_ip = GetU32(b, 1);
-  d.dst_ip = GetU32(b, 5);
-  d.src_port = GetU16(b, kIpHeaderBytes);
-  d.dst_port = GetU16(b, kIpHeaderBytes + 2);
-  d.payload.assign(b.begin() + kIpHeaderBytes + kUdpHeaderBytes, b.end());
-  return d;
+  return p.bytes[kIpHeaderBytes + 12];
 }
 
 }  // namespace exo::net

@@ -1,4 +1,5 @@
-// Wire formats for the simulated network: a compact IP+TCP/UDP header pair.
+// Wire format for the simulated network: a compact IP+TCP header pair. This
+// header and packet.cc are the only code that knows the frame layout.
 //
 // Links are point-to-point, so no Ethernet addressing is needed; frames carry an IP
 // header directly. Checksums are real (computed over payload bytes), because the
@@ -25,7 +26,6 @@ constexpr uint8_t kProtoUdp = 17;
 
 constexpr uint32_t kIpHeaderBytes = 12;
 constexpr uint32_t kTcpHeaderBytes = 20;
-constexpr uint32_t kUdpHeaderBytes = 8;
 constexpr uint32_t kMss = hw::kMaxFrameBytes - kIpHeaderBytes - kTcpHeaderBytes;  // 1482
 
 enum TcpFlags : uint8_t {
@@ -49,14 +49,6 @@ struct TcpSegment {
   std::vector<uint8_t> payload;
 };
 
-struct UdpDatagram {
-  IpAddr src_ip = 0;
-  IpAddr dst_ip = 0;
-  Port src_port = 0;
-  Port dst_port = 0;
-  std::vector<uint8_t> payload;
-};
-
 // Internet-style ones-complement-ish sum, folded to 32 bits. Cheap to compute in the
 // host but *charged* per byte by the protocol code.
 uint32_t Checksum(std::span<const uint8_t> data);
@@ -67,19 +59,13 @@ uint32_t Checksum(std::span<const uint8_t> data);
 // precomputed and stored with the file, without touching the body bytes.
 uint32_t ChecksumCombine(uint32_t even_prefix_sum, uint32_t suffix_sum);
 
-hw::Packet EncodeTcp(const TcpSegment& seg);
-// Zero-copy variant for the transmit path: encodes seg's headers but takes the
-// payload from `payload` (seg.payload is ignored), so callers holding the bytes
-// in a send buffer skip the intermediate segment copy.
-hw::Packet EncodeTcp(const TcpSegment& seg, std::span<const uint8_t> payload);
-// Gather variant: the payload is head‖tail in one frame (Cheetah's batched
-// header+body transmission — header from the response cache, body straight
-// from the file cache).
+// Encodes seg's headers with the payload head‖tail; seg.payload is ignored, so
+// the transmit path encodes straight from its send buffer, and Cheetah's
+// batched header+body transmission takes the header from the response cache
+// and the body from the file cache in one frame.
 hw::Packet EncodeTcp(const TcpSegment& seg, std::span<const uint8_t> head,
-                     std::span<const uint8_t> tail);
+                     std::span<const uint8_t> tail = {});
 std::optional<TcpSegment> DecodeTcp(const hw::Packet& p);
-hw::Packet EncodeUdp(const UdpDatagram& d);
-std::optional<UdpDatagram> DecodeUdp(const hw::Packet& p);
 
 // Protocol byte at a fixed offset, so UDF packet filters can demultiplex:
 //   offset 0: u8 proto; 1..4 src_ip; 5..8 dst_ip; then the transport header with
@@ -89,6 +75,17 @@ constexpr uint32_t kOffSrcIp = 1;
 constexpr uint32_t kOffDstIp = 5;
 constexpr uint32_t kOffSrcPort = 9;
 constexpr uint32_t kOffDstPort = 11;
+
+// Header peeks for code that routes frames without decoding them (the fleet
+// balancer, the server's per-client transmit hook). Each needs a frame of at
+// least kMinRoutableBytes.
+constexpr uint32_t kMinRoutableBytes = kOffDstPort + 2;
+IpAddr PeekDstIp(const hw::Packet& p);
+// (src ip << 16) | source port: the TCP header's source port for a full TCP
+// frame, the generic port bytes for any other frame.
+uint64_t PeekFlowKey(const hw::Packet& p);
+// The flags of a full TCP frame; nullopt for any other frame.
+std::optional<uint8_t> PeekTcpFlags(const hw::Packet& p);
 
 }  // namespace exo::net
 

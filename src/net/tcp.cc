@@ -9,6 +9,26 @@ namespace exo::net {
 
 namespace {
 constexpr uint32_t kInitialSeq = 1000;
+constexpr uint32_t kWindowBytes = 48 * 1024;
+// Protocol control block setup: fresh, and recycled under TcpProfile::pcb_reuse.
+constexpr sim::Cycles kPcbAllocCost = 700;
+constexpr sim::Cycles kPcbReuseCost = 90;
+// How long a piggyback_ack profile holds an ACK waiting for a response to carry it.
+constexpr sim::Cycles kDelayedAckUs = 2000;
+// Retransmission timer. kRtoInitialUs is used only until the first RTT sample
+// lands; from then on the timer follows Jacobson's estimator,
+// RTO = SRTT + max(4*RTTVAR, 1us), clamped to [kRtoMinUs, kRtoMaxUs].
+// Consecutive timeouts on one connection double it (capped at kRtoMaxUs) and
+// add a deterministic jitter in [0, RTO/8] drawn from a per-stack Rng seeded
+// with TcpProfile::rto_jitter_seed, so two runs with one seed retransmit at
+// identical times.
+constexpr sim::Cycles kRtoInitialUs = 50'000;
+constexpr sim::Cycles kRtoMinUs = 5'000;
+constexpr sim::Cycles kRtoMaxUs = 4'000'000;
+// A connection that sent its FIN (kFinWait) but whose peer goes silent is
+// force-closed after this long: the TIME_WAIT-style reaper that keeps
+// half-closed PCBs from leaking when the peer dies.
+constexpr sim::Cycles kFinWaitTimeoutUs = 1'000'000;
 // Sequence-space compare: a >= b under 32-bit wraparound.
 inline bool SeqGe(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) >= 0; }
 }  // namespace
@@ -37,7 +57,7 @@ TcpConn* TcpStack::NewConn() {
     auto conn = std::move(pcb_pool_.back());
     pcb_pool_.pop_back();
     ++stats_.pcb_reused;
-    Occupy(profile_.pcb_reuse_cost);
+    Occupy(kPcbReuseCost);
     *conn = TcpConn{};
     conn->stack_ = this;
     TcpConn* raw = conn.get();
@@ -45,7 +65,7 @@ TcpConn* TcpStack::NewConn() {
     tmp_ = std::move(conn);
     return raw;
   }
-  Occupy(profile_.pcb_alloc);
+  Occupy(kPcbAllocCost);
   auto conn = std::make_unique<TcpConn>();
   conn->stack_ = this;
   TcpConn* raw = conn.get();
@@ -135,7 +155,7 @@ sim::Cycles TcpStack::Emit(TcpConn* c, uint8_t flags, uint32_t seq,
   if (tracer_ != nullptr && tracer_->enabled(trace::Category::kNet)) {
     tracer_->Instant(trace::Category::kNet, trace_track_, "tcp.tx", when, payload_size);
   }
-  hooks_.transmit(tail.empty() ? EncodeTcp(seg, payload) : EncodeTcp(seg, payload, tail), when);
+  hooks_.transmit(EncodeTcp(seg, payload, tail), when);
   return when;
 }
 
@@ -161,7 +181,7 @@ void TcpStack::ScheduleDelayedAck(TcpConn* c) {
   }
   ConnKey key = Key(c->peer_ip_, c->peer_port_, c->local_port_);
   c->ack_timer_ = hooks_.engine->ScheduleAfter(
-      profile_.delayed_ack_timeout_us * hooks_.cost->cpu_mhz, [this, key] {
+      kDelayedAckUs * hooks_.cost->cpu_mhz, [this, key] {
         auto it = conns_.find(key);
         if (it != conns_.end() && it->second->ack_pending_) {
           it->second->ack_timer_ = 0;
@@ -174,7 +194,7 @@ void TcpStack::PumpSendQueue(TcpConn* c) {
   while (!c->send_queue_.empty()) {
     uint32_t in_flight = c->snd_next_ - c->snd_una_;
     const auto& head = c->send_queue_.front();
-    if (in_flight + head.size() > profile_.window_bytes) {
+    if (in_flight + head.size() > kWindowBytes) {
       break;
     }
     TcpConn::PendingSegment seg = std::move(c->send_queue_.front());
@@ -262,13 +282,12 @@ void TcpConn::Close() {
 
 sim::Cycles TcpStack::RtoCycles(TcpConn* c) {
   const sim::Cycles mhz = hooks_.cost->cpu_mhz;
-  // rto_us is the initial RTO; the estimator takes over at the first sample.
   sim::Cycles rto = c->rtt_valid_
                         ? c->srtt_ + std::max<sim::Cycles>(4 * c->rttvar_, mhz)
-                        : profile_.rto_us * mhz;
-  rto = std::clamp(rto, profile_.rto_min_us * mhz, profile_.rto_max_us * mhz);
+                        : kRtoInitialUs * mhz;
+  rto = std::clamp(rto, kRtoMinUs * mhz, kRtoMaxUs * mhz);
   if (c->backoff_ > 0) {
-    const sim::Cycles max_rto = profile_.rto_max_us * mhz;
+    const sim::Cycles max_rto = kRtoMaxUs * mhz;
     const uint32_t shift = std::min<uint32_t>(c->backoff_, 20);
     rto = rto > (max_rto >> shift) ? max_rto : (rto << shift);
     // Deterministic seeded jitter desynchronizes retry storms without breaking
@@ -333,10 +352,10 @@ void TcpStack::OnRto(TcpConn* c) {
 }
 
 void TcpStack::ArmFinWaitReaper(TcpConn* c) {
-  if (profile_.fin_wait_timeout_us == 0 || c->reap_deadline_ != 0) {
+  if (c->reap_deadline_ != 0) {
     return;
   }
-  AddReapDeadline(c, hooks_.engine->now() + profile_.fin_wait_timeout_us * hooks_.cost->cpu_mhz);
+  AddReapDeadline(c, hooks_.engine->now() + kFinWaitTimeoutUs * hooks_.cost->cpu_mhz);
 }
 
 void TcpStack::AddReapDeadline(TcpConn* c, sim::Cycles deadline) {
@@ -717,7 +736,7 @@ std::string TcpStack::CheckInvariants() const {
       return "snd_una passed snd_next (cumulative ACK regressed)";
     }
     // SYN and FIN each occupy one sequence number beyond the data window.
-    if (static_cast<uint32_t>(in_flight) > profile_.window_bytes + 2) {
+    if (static_cast<uint32_t>(in_flight) > kWindowBytes + 2) {
       return "in-flight bytes exceed the send window";
     }
     uint32_t expect = c.snd_una_;

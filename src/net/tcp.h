@@ -51,33 +51,13 @@ struct TcpProfile {
   bool piggyback_ack = false;   // Cheetah: delay ACKs to merge them into responses
   bool zero_copy_tx = false;    // retransmit pool IS the file cache (no tx copy)
   bool pcb_reuse = false;       // recycle protocol control blocks
-  sim::Cycles pcb_alloc = 700;  // fresh control-block setup
-  sim::Cycles pcb_reuse_cost = 90;
-  sim::Cycles delayed_ack_timeout_us = 2000;
-
-  // ---- Retransmission timer ----
-  // `rto_us` is the *initial* retransmission timeout, used only until the first
-  // RTT sample lands; from then on the timer follows Jacobson's estimator,
-  // RTO = SRTT + max(4*RTTVAR, 1us), clamped to [rto_min_us, rto_max_us].
-  // Consecutive timeouts on the same connection double the timer (exponential
-  // backoff, capped at rto_max_us) and add a deterministic jitter in [0, RTO/8]
-  // drawn from a per-stack Rng seeded with `rto_jitter_seed` — two runs with the
-  // same seed retransmit at identical times.
-  sim::Cycles rto_us = 50'000;
-  sim::Cycles rto_min_us = 5'000;
-  sim::Cycles rto_max_us = 4'000'000;
+  // Seeds the retransmission timer's backoff jitter (tcp.cc documents the timer).
   uint64_t rto_jitter_seed = 0x5eed;
   // Consecutive timeouts on one connection before it is aborted: an RST is
   // emitted (except from kSynSent, where the peer never spoke), the close
   // callback fires with aborted() set, and the PCB is reaped. 0 = retry forever
   // (the pre-abort behavior).
   uint32_t max_retransmits = 8;
-  // A connection that sent its FIN (kFinWait) but whose peer goes silent is
-  // force-closed after this long — the TIME_WAIT-style reaper that keeps
-  // half-closed PCBs from leaking when the peer dies. 0 disables.
-  sim::Cycles fin_wait_timeout_us = 1'000'000;
-
-  uint32_t window_bytes = 48 * 1024;
 };
 
 struct TcpStats {

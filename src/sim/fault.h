@@ -138,6 +138,8 @@ struct FaultStats {
   uint64_t net_duplicates = 0;
   uint64_t machine_kills = 0;
   uint64_t machine_reboots = 0;
+
+  bool operator==(const FaultStats&) const = default;
 };
 
 class FaultInjector {

@@ -2,22 +2,12 @@
 
 #include <cstring>
 
+#include "sim/bytes.h"
+
 namespace exo::xn {
 
-namespace {
-
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v & 0xff));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-}  // namespace
+using sim::AppendLe16;
+using sim::AppendLe32;
 
 bool ApplyMods(std::vector<uint8_t>& image, const Mods& mods) {
   for (const ByteMod& m : mods) {
@@ -32,10 +22,10 @@ bool ApplyMods(std::vector<uint8_t>& image, const Mods& mods) {
 std::vector<uint8_t> SerializeMods(const Mods& mods) {
   std::vector<uint8_t> out;
   out.push_back(static_cast<uint8_t>(AccessIntent::kModify));
-  PutU16(out, static_cast<uint16_t>(mods.size()));
+  AppendLe16(out, static_cast<uint16_t>(mods.size()));
   for (const ByteMod& m : mods) {
-    PutU32(out, m.offset);
-    PutU16(out, static_cast<uint16_t>(m.bytes.size()));
+    AppendLe32(out, m.offset);
+    AppendLe16(out, static_cast<uint16_t>(m.bytes.size()));
     out.insert(out.end(), m.bytes.begin(), m.bytes.end());
   }
   return out;
@@ -44,18 +34,18 @@ std::vector<uint8_t> SerializeMods(const Mods& mods) {
 std::vector<uint8_t> SerializeAccess(AccessIntent intent, hw::BlockId child) {
   std::vector<uint8_t> out;
   out.push_back(static_cast<uint8_t>(intent));
-  PutU32(out, child);
+  AppendLe32(out, child);
   return out;
 }
 
 std::vector<uint8_t> SerializeCaps(const Caps& caps) {
   std::vector<uint8_t> out;
-  PutU16(out, static_cast<uint16_t>(caps.size()));
+  AppendLe16(out, static_cast<uint16_t>(caps.size()));
   for (const auto& cap : caps) {
     out.push_back(cap.write ? 1 : 0);
-    PutU16(out, static_cast<uint16_t>(cap.name.size()));
+    AppendLe16(out, static_cast<uint16_t>(cap.name.size()));
     for (uint16_t part : cap.name) {
-      PutU16(out, part);
+      AppendLe16(out, part);
     }
   }
   return out;

@@ -239,8 +239,6 @@ bool XokKernel::EvalPredicate(Env* e) {
     udf::RunInput in;
     if (p.live_window != nullptr) {
       in.buffers[udf::kBufMeta] = *p.live_window;
-    } else {
-      in.buffers[udf::kBufMeta] = p.window;
     }
     in.time = [this] { return machine_->engine().now(); };
     in.fuel = 4096;

@@ -372,74 +372,96 @@ TEST(ClusterTest, DirectTopologyWiresClientsToServers) {
   EXPECT_EQ(rx, 1);
 }
 
-// ---- Cross-shard wire faults (satellite: ShardLink fault/trace parity) ----
+// ---- Wire faults on both link kinds (one wire model) ----
 
-// A scripted injector armed on one direction of a cross-shard link hits the
-// exact frames it names — drop, corrupt, duplicate — with `wire`/`wire_dup`
-// spans and `arrive` instants on the sender's tracer, while the reverse
-// direction stays untouched.
+// A scripted injector armed on one direction of a link hits the exact frames it
+// names — drop, corrupt, duplicate — with `wire`/`wire_dup` spans and `arrive`
+// instants on the sender's tracer, while the reverse direction stays untouched.
+// A cross-shard ShardLink and the plain hw::Link that Connect returns within
+// one shard run the same hw::Link::Send, so every observation is identical.
 TEST(ClusterTest, CrossShardLinkInjectsScriptedWireFaults) {
-  cluster::Cluster cl;
-  const uint32_t sa = cl.AddShard();
-  const uint32_t sb = cl.AddShard();
-  hw::Nic a(0), b(1);
-  auto* link = static_cast<cluster::ShardLink*>(
-      cl.Connect(sa, &a, sb, &b, 100.0, 25.0, 200));
+  struct Outcome {
+    std::vector<uint8_t> markers;  // frame id (byte 63) per arrival at b
+    std::vector<uint8_t> byte3s;   // the corruption target byte per arrival
+    std::vector<sim::Cycles> arrivals;
+    int a_rx = 0;
+    sim::FaultStats stats;
+    std::vector<sim::FaultEvent> events;
+    std::string trace;
+    int wire_begins = 0, dup_begins = 0, arrives = 0;
+  };
+  auto run = [](bool cross_shard) {
+    cluster::Cluster cl;
+    const uint32_t sa = cl.AddShard();
+    const uint32_t sb = cross_shard ? cl.AddShard() : sa;
+    hw::Nic a(0), b(1);
+    hw::Link* link = cl.Connect(sa, &a, sb, &b, 100.0, 25.0, 200);
 
-  sim::FaultPlan plan;
-  plan.script = sim::ParseFaultSchedule("d@1 c@2:3 u@3");
-  ASSERT_EQ(plan.script.size(), 3u);
-  sim::FaultInjector faults(plan);
-  trace::Tracer tracer;
-  tracer.Enable();
-  link->AttachTracerFor(&a, &tracer, "ab");
-  link->SetFaultInjectorFor(&a, &faults);
+    sim::FaultPlan plan;
+    plan.script = sim::ParseFaultSchedule("d@1 c@2:3 u@3");
+    EXPECT_EQ(plan.script.size(), 3u);
+    sim::FaultInjector faults(plan);
+    trace::Tracer tracer;
+    tracer.Enable();
+    link->AttachTracerFor(&a, &tracer, "ab");
+    link->SetFaultInjectorFor(&a, &faults);
 
-  std::vector<uint8_t> markers;   // frame id (byte 63) per arrival at b
-  std::vector<uint8_t> byte3s;    // the corruption target byte per arrival
-  int a_rx = 0;
-  b.SetReceiveHandler([&](hw::Packet p) {
-    markers.push_back(p.bytes[63]);
-    byte3s.push_back(p.bytes[3]);
-    if (markers.size() == 4) {
-      b.Transmit(hw::Packet{std::vector<uint8_t>(64, 9)});  // reverse direction
+    Outcome r;
+    b.SetReceiveHandler([&](hw::Packet p) {
+      r.markers.push_back(p.bytes[63]);
+      r.byte3s.push_back(p.bytes[3]);
+      r.arrivals.push_back(cl.engine(sb).now());
+      if (r.markers.size() == 4) {
+        b.Transmit(hw::Packet{std::vector<uint8_t>(64, 9)});  // reverse direction
+      }
+    });
+    a.SetReceiveHandler([&](hw::Packet) { ++r.a_rx; });
+    for (uint8_t i = 1; i <= 4; ++i) {
+      hw::Packet p{std::vector<uint8_t>(64, 0)};
+      p.bytes[63] = i;
+      a.Transmit(std::move(p));
     }
-  });
-  a.SetReceiveHandler([&](hw::Packet) { ++a_rx; });
-  for (uint8_t i = 1; i <= 4; ++i) {
-    hw::Packet p{std::vector<uint8_t>(64, 0)};
-    p.bytes[63] = i;
-    a.Transmit(std::move(p));
-  }
-  cl.Run();
+    cl.Run();
 
-  // Frame 1 dropped; frame 2 corrupted at byte 3; frame 3 doubled; frame 4
-  // clean. The duplicate trails its original by one serialization slot.
-  ASSERT_EQ(markers, (std::vector<uint8_t>{2, 3, 3, 4}));
-  EXPECT_EQ(byte3s, (std::vector<uint8_t>{0xff, 0, 0, 0}));
-  EXPECT_EQ(a_rx, 1);
-  EXPECT_EQ(faults.stats().frames_seen, 4u);  // reverse direction unarmed
-  EXPECT_EQ(faults.stats().net_drops, 1u);
-  EXPECT_EQ(faults.stats().net_corruptions, 1u);
-  EXPECT_EQ(faults.stats().net_duplicates, 1u);
-  // The executed schedule replays verbatim.
-  EXPECT_EQ(sim::FormatFaultSchedule(faults.events()), "d@1 c@2:3 u@3");
-
-  int wire_begins = 0, dup_begins = 0, arrives = 0;
-  for (const trace::Record& r : tracer.Records()) {
-    if (r.kind == trace::Kind::kBegin && std::strcmp(r.name, "wire") == 0) {
-      ++wire_begins;
-    } else if (r.kind == trace::Kind::kBegin &&
-               std::strcmp(r.name, "wire_dup") == 0) {
-      ++dup_begins;
-    } else if (r.kind == trace::Kind::kInstant &&
-               std::strcmp(r.name, "arrive") == 0) {
-      ++arrives;
+    r.stats = faults.stats();
+    r.events = faults.events();
+    r.trace = trace::TextDump(tracer);
+    for (const trace::Record& rec : tracer.Records()) {
+      if (rec.kind == trace::Kind::kBegin && std::strcmp(rec.name, "wire") == 0) {
+        ++r.wire_begins;
+      } else if (rec.kind == trace::Kind::kBegin &&
+                 std::strcmp(rec.name, "wire_dup") == 0) {
+        ++r.dup_begins;
+      } else if (rec.kind == trace::Kind::kInstant &&
+                 std::strcmp(rec.name, "arrive") == 0) {
+        ++r.arrives;
+      }
     }
+    return r;
+  };
+
+  const Outcome cross = run(true);
+  const Outcome plain = run(false);
+  for (const Outcome* r : {&cross, &plain}) {
+    // Frame 1 dropped; frame 2 corrupted at byte 3; frame 3 doubled; frame 4
+    // clean. The duplicate trails its original by one serialization slot.
+    ASSERT_EQ(r->markers, (std::vector<uint8_t>{2, 3, 3, 4}));
+    EXPECT_EQ(r->byte3s, (std::vector<uint8_t>{0xff, 0, 0, 0}));
+    EXPECT_EQ(r->a_rx, 1);
+    EXPECT_EQ(r->stats.frames_seen, 4u);  // reverse direction unarmed
+    EXPECT_EQ(r->stats.net_drops, 1u);
+    EXPECT_EQ(r->stats.net_corruptions, 1u);
+    EXPECT_EQ(r->stats.net_duplicates, 1u);
+    // The executed schedule replays verbatim.
+    EXPECT_EQ(sim::FormatFaultSchedule(r->events), "d@1 c@2:3 u@3");
+    EXPECT_EQ(r->wire_begins, 4);  // every frame serializes, even the dropped one
+    EXPECT_EQ(r->dup_begins, 1);
+    EXPECT_EQ(r->arrives, 3);      // the dropped frame never arrives
   }
-  EXPECT_EQ(wire_begins, 4);  // every frame serializes, even the dropped one
-  EXPECT_EQ(dup_begins, 1);
-  EXPECT_EQ(arrives, 3);      // the dropped frame never arrives
+  EXPECT_EQ(cross.arrivals, plain.arrivals);
+  EXPECT_TRUE(cross.stats == plain.stats);
+  EXPECT_EQ(cross.events, plain.events);
+  EXPECT_EQ(cross.trace, plain.trace);
 }
 
 // ---- Balancer pin lifecycle (satellite: no stale pins) ----
@@ -507,7 +529,6 @@ std::string RunFailoverWorkload(uint32_t threads, uint64_t* echoed) {
   tc.health.interval_us = 500.0;  // 100k cycles at 200 MHz
   tc.health.timeout_us = 200.0;
   tc.health.fall = 2;
-  tc.health.rise = 2;
   cluster::Topology topo(tc);
 
   // One echo counter per server: each is touched only by its own shard thread.

@@ -1,5 +1,5 @@
 // Tests for the network stack: packet codecs, TCP handshake/data/close/retransmit,
-// Cheetah's zero-copy + precomputed-checksum + ACK-piggybacking options, and UDP.
+// Cheetah's zero-copy + precomputed-checksum + ACK-piggybacking options.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,7 +7,6 @@
 #include "apps/http.h"
 #include "net/packet.h"
 #include "net/tcp.h"
-#include "net/udp.h"
 #include "net/xio.h"
 #include "sim/cpu_meter.h"
 #include "sim/engine.h"
@@ -75,7 +74,7 @@ TEST(PacketTest, TcpCodecRoundTrips) {
   s.window = 4096;
   s.payload = {1, 2, 3, 4, 5};
   s.checksum = Checksum(s.payload);
-  auto p = EncodeTcp(s);
+  auto p = EncodeTcp(s, s.payload);
   auto d = DecodeTcp(p);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->src_ip, s.src_ip);
@@ -85,26 +84,24 @@ TEST(PacketTest, TcpCodecRoundTrips) {
   EXPECT_EQ(d->flags, s.flags);
   EXPECT_EQ(d->payload, s.payload);
   EXPECT_EQ(d->checksum, Checksum(d->payload));
-}
-
-TEST(PacketTest, UdpCodecRoundTrips) {
-  UdpDatagram d;
-  d.src_ip = 1;
-  d.dst_ip = 2;
-  d.src_port = 53;
-  d.dst_port = 5353;
-  d.payload = {9, 8, 7};
-  auto p = EncodeUdp(d);
-  auto back = DecodeUdp(p);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->payload, d.payload);
-  EXPECT_EQ(back->dst_port, d.dst_port);
+  const std::vector<uint8_t> head = {1, 2}, tail = {3, 4, 5};
+  EXPECT_EQ(DecodeTcp(EncodeTcp(s, head, tail))->payload, s.payload);  // gather
+  // Routers peek the same header without decoding it.
+  EXPECT_EQ(PeekDstIp(p), s.dst_ip);
+  EXPECT_EQ(PeekFlowKey(p), (uint64_t{s.src_ip} << 16) | s.src_port);
+  EXPECT_EQ(PeekTcpFlags(p), s.flags);
 }
 
 TEST(PacketTest, DecodeRejectsWrongProtoAndShortFrames) {
   EXPECT_FALSE(DecodeTcp(hw::Packet{.bytes = {1, 2, 3}}).has_value());
-  auto udp = EncodeUdp(UdpDatagram{});
+  hw::Packet udp{std::vector<uint8_t>(kIpHeaderBytes + kTcpHeaderBytes, 0)};
+  udp.bytes[kOffProto] = kProtoUdp;
+  udp.bytes[kOffSrcIp] = 7;
+  udp.bytes[kOffSrcPort] = 9;
   EXPECT_FALSE(DecodeTcp(udp).has_value());
+  // A non-TCP frame has no TCP flags and keys its flow on the generic port bytes.
+  EXPECT_FALSE(PeekTcpFlags(udp).has_value());
+  EXPECT_EQ(PeekFlowKey(udp), (uint64_t{7} << 16) | 9);
 }
 
 TEST(PacketTest, ChecksumDetectsCorruption) {
@@ -444,38 +441,6 @@ TEST_F(NetTest, PcbReuseCountsAndCharges) {
     // Release server-side conns that reached Closed.
   }
   EXPECT_EQ(closed, 5);
-}
-
-TEST_F(NetTest, UdpRoundTrip) {
-  UdpStack::Hooks hooks_a;
-  hooks_a.engine = &engine_;
-  hooks_a.cost = &cost_;
-  hooks_a.transmit = [this](hw::Packet p, sim::Cycles when) {
-    engine_.ScheduleAt(std::max(when, engine_.now()),
-                       [this, p = std::move(p)]() mutable { nic_a_.Transmit(std::move(p)); });
-  };
-  UdpStack a(hooks_a, 1);
-  UdpStack::Hooks hooks_b = hooks_a;
-  hooks_b.cpu = &cpu_b_;
-  hooks_b.transmit = [this](hw::Packet p, sim::Cycles when) {
-    engine_.ScheduleAt(std::max(when, engine_.now()),
-                       [this, p = std::move(p)]() mutable { nic_b_.Transmit(std::move(p)); });
-  };
-  UdpStack b(hooks_b, 2);
-  nic_a_.SetReceiveHandler([&](hw::Packet p) { a.Input(p); });
-  nic_b_.SetReceiveHandler([&](hw::Packet p) { b.Input(p); });
-
-  std::vector<uint8_t> got;
-  ASSERT_EQ(b.Bind(5000, [&](const UdpDatagram& d) {
-    got = d.payload;
-    b.SendTo(5000, d.src_ip, d.src_port, std::vector<uint8_t>{4, 5, 6});
-  }), Status::kOk);
-  std::vector<uint8_t> reply;
-  ASSERT_EQ(a.Bind(6000, [&](const UdpDatagram& d) { reply = d.payload; }), Status::kOk);
-  ASSERT_EQ(a.SendTo(6000, 2, 5000, std::vector<uint8_t>{1, 2, 3}), Status::kOk);
-  Run();
-  EXPECT_EQ(got, (std::vector<uint8_t>{1, 2, 3}));
-  EXPECT_EQ(reply, (std::vector<uint8_t>{4, 5, 6}));
 }
 
 TEST(ChecksumCacheTest, ComputesOnceThenHits) {

@@ -1077,7 +1077,6 @@ FleetResult RunFleet(const std::vector<sim::FaultEvent>& schedule,
   tc.health.interval_us = 300.0;  // 60k cycles at 200 MHz
   tc.health.timeout_us = 100.0;
   tc.health.fall = 2;
-  tc.health.rise = 2;
   cluster::Topology topo(tc);
 
   // One echo counter per server: each is touched only by its own shard thread.
