@@ -252,7 +252,7 @@ void HttpServer::SendPrepared(net::TcpConn* conn, const net::HttpResponseCache::
     return;
   }
   conn->Send(e.header);
-  conn->Send(doc->bytes, doc->checksums);
+  conn->SendPinned(doc->bytes, doc->checksums);
 }
 
 void HttpServer::ServeOne(net::TcpConn* conn, const std::string& buf) {
@@ -387,7 +387,7 @@ void HttpServer::ServeOne(net::TcpConn* conn, const std::string& buf) {
     conn->Send(std::vector<uint8_t>(header.begin(), header.end()));
     if (!body.empty()) {
       const auto& sums = checksums_.For(doc_ids_[name], body);
-      conn->Send(body, sums);
+      conn->SendPinned(body, sums);
     }
   } else {
     std::vector<uint8_t> response(header.begin(), header.end());

@@ -227,12 +227,22 @@ void TcpStack::PumpSendQueue(TcpConn* c) {
 }
 
 void TcpConn::Send(std::span<const uint8_t> data, std::span<const uint32_t> checksums) {
+  Enqueue(data, checksums, /*reference=*/false);
+}
+
+void TcpConn::SendPinned(std::span<const uint8_t> data, std::span<const uint32_t> checksums) {
+  EXO_CHECK(stack_ != nullptr);
+  Enqueue(data, checksums, /*reference=*/stack_->profile_.zero_copy_tx);
+}
+
+void TcpConn::Enqueue(std::span<const uint8_t> data, std::span<const uint32_t> checksums,
+                      bool reference) {
   EXO_CHECK(stack_ != nullptr);
   size_t seg_index = 0;
   for (size_t off = 0; off < data.size(); off += kMss, ++seg_index) {
     size_t n = std::min<size_t>(kMss, data.size() - off);
     PendingSegment seg;
-    if (stack_->profile_.zero_copy_tx) {
+    if (reference) {
       // Merged file cache and retransmission pool: reference, don't copy.
       seg.stable = data.subspan(off, n);
     } else {
@@ -254,7 +264,7 @@ void TcpConn::SendGather(std::span<const uint8_t> header, std::span<const uint8_
     // Too big for one segment (or the combined checksum would be misaligned):
     // degrade to the unbatched path.
     Send(header);
-    Send(body);
+    SendPinned(body);
     return;
   }
   PendingSegment seg;

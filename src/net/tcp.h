@@ -95,17 +95,22 @@ class TcpConn {
   };
 
   // Queues payload; segments drain as window opens. With `precomputed_checksums`
-  // (one per MSS segment) the stack skips checksum computation (Cheetah). With the
-  // zero-copy profile the data must stay stable until acked (it lives in the file
-  // cache, which doubles as the retransmission pool).
+  // (one per MSS segment) the stack skips checksum computation (Cheetah). The
+  // bytes are copied into the segments, so `data` need only outlive the call.
   void Send(std::span<const uint8_t> data,
             std::span<const uint32_t> precomputed_checksums = {});
+  // Send for bytes pinned in the file cache: under the zero-copy profile the
+  // segments reference `data` instead of copying it (the file cache doubles as
+  // the retransmission pool), so it must stay stable until acked. The charged
+  // cycles are the same as Send's; only the host-side copy differs.
+  void SendPinned(std::span<const uint8_t> data,
+                  std::span<const uint32_t> precomputed_checksums = {});
   // Batched header+body transmission in one segment (Cheetah's HTML-aware
   // gather): `header` is copied into the segment, `body` rides zero-copy from
   // the file cache, and `checksum` covers the concatenation (combine the
   // rendered header's sum with the file's stored body sum via ChecksumCombine —
-  // valid because the header is padded to even length). Falls back to two plain
-  // Sends when header+body exceed one MSS.
+  // valid because the header is padded to even length). Falls back to Send(header)
+  // and SendPinned(body) when header+body exceed one MSS.
   void SendGather(std::span<const uint8_t> header, std::span<const uint8_t> body,
                   uint32_t checksum);
   // Half-close after all queued data is acknowledged.
@@ -131,12 +136,16 @@ class TcpConn {
 
  private:
   friend class TcpStack;
+  // Send and SendPinned: `reference` keeps spans into `data` instead of copies.
+  void Enqueue(std::span<const uint8_t> data, std::span<const uint32_t> checksums,
+               bool reference);
   struct PendingSegment {
     // Payload = owned ‖ stable. Plain sends fill exactly one of the two; a
     // gather send owns the copied header in `owned` and references the
-    // file-cache body through `stable`.
+    // file-cache body through `stable`. Only file-cache bytes (SendPinned,
+    // a gather body) ever go in `stable`.
     std::vector<uint8_t> owned;          // copy (normal path / gather header)
-    std::span<const uint8_t> stable;     // zero-copy path
+    std::span<const uint8_t> stable;     // zero-copy file-cache path
     uint32_t checksum = 0;
     uint32_t seq = 0;
     bool fin = false;

@@ -134,6 +134,9 @@ EnvId XokKernel::CreateEnv(EnvId parent, std::vector<Capability> caps,
   raw->pass = global_pass_ + StrideOf(*raw);
   raw->sched_seq = ++sched_seq_counter_;
   envs_[id] = std::move(e);
+  if (parent != kInvalidEnv) {
+    children_[parent].insert(id);
+  }
   run_queue_.push_back(id);
   StrideInsert(*raw);
   ++alive_count_;
@@ -190,6 +193,12 @@ Status XokKernel::ReapEnv(EnvId id) {
     flow_cache_.clear();
   }
   DropPendingRevoke(e);
+  if (auto siblings = children_.find(e.parent); siblings != children_.end()) {
+    siblings->second.erase(id);
+    if (siblings->second.empty()) {
+      children_.erase(siblings);
+    }
+  }
   if (stride_on_) {
     // Round-robin prunes dead ids lazily during rotation; the stride pick
     // never walks the deque, so reap is the only place they can leave it.
@@ -217,14 +226,17 @@ void XokKernel::FinishExit(Env* e, int code) {
   // their zombie state would leak. Reparent them to "no one" and auto-reap any
   // that are already (or later become) zombies. Top-level envs (created with no
   // parent) keep the old behavior: the host driver inspects and reaps them.
-  for (auto& [cid, child] : envs_) {
-    if (child->parent == e->id) {
-      child->parent = kInvalidEnv;
-      child->orphaned = true;
-      if (child->state == EnvState::kZombie) {
+  // Children in ascending id order, so zombie orphans queue for reaping by id.
+  if (auto kids = children_.find(e->id); kids != children_.end()) {
+    for (EnvId cid : kids->second) {
+      Env& child = env(cid);
+      child.parent = kInvalidEnv;
+      child.orphaned = true;
+      if (child.state == EnvState::kZombie) {
         pending_reaps_.push_back(cid);
       }
     }
+    children_.erase(kids);
   }
   if (e->orphaned || (e->parent != kInvalidEnv && !EnvExists(e->parent))) {
     pending_reaps_.push_back(e->id);
@@ -269,8 +281,7 @@ Env* XokKernel::PickNext() {
     // Watched predicates: skip the evaluation entirely while no watched object
     // has been written and the deadline has not passed. The skip charges nothing
     // (a flag check in kernel memory), so unwatched workloads are untouched.
-    if (!e->predicate.watches.empty() && !e->predicate_dirty &&
-        machine_->engine().now() < e->predicate.deadline) {
+    if (Skippable(*e)) {
       ++*predicate_skip_counter_;
       if (tracer_->enabled(trace::Category::kSched)) {
         tracer_->Instant(trace::Category::kSched, trace_track_, "pred_skip",
@@ -285,21 +296,22 @@ Env* XokKernel::PickNext() {
     }
     const bool ready = EvalPredicate(e);
     e->predicate_dirty = false;
-    if (ready) {
-      UnregisterWatches(e);
-      e->state = EnvState::kRunnable;
-      StrideWake(e);
-      if (tracer_->enabled(trace::Category::kSched)) {
-        // The whole blocked period, emitted retrospectively at wake so no span
-        // stays open while the fiber is suspended.
-        tracer_->Begin(trace::Category::kSched, e->trace_track, "blocked",
-                       e->blocked_since, e->id);
-        tracer_->End(trace::Category::kSched, e->trace_track, "blocked",
-                     machine_->engine().now(), e->id);
-      }
-      return e;
+    if (!ready) {
+      Park(*e);  // if only a watched write can wake it
+      return nullptr;
     }
-    return nullptr;
+    UnregisterWatches(e);
+    e->state = EnvState::kRunnable;
+    StrideWake(e);
+    if (tracer_->enabled(trace::Category::kSched)) {
+      // The whole blocked period, emitted retrospectively at wake so no span
+      // stays open while the fiber is suspended.
+      tracer_->Begin(trace::Category::kSched, e->trace_track, "blocked",
+                     e->blocked_since, e->id);
+      tracer_->End(trace::Category::kSched, e->trace_track, "blocked",
+                   machine_->engine().now(), e->id);
+    }
+    return e;
   };
 
   if (last_scheduled_ != kInvalidEnv && EnvExists(last_scheduled_)) {
@@ -333,31 +345,77 @@ Env* XokKernel::PickNext() {
     return nullptr;
   }
 
-  // Stride pick: walk alive envs in (pass, sched_seq) order and run the first
-  // schedulable one — blocked envs keep their place and are predicate-checked
-  // as encountered, exactly like the rotation above but in pass order. The
-  // walk re-seeks by key each step because a charged predicate evaluation can
-  // fire device events whose handlers mutate the set.
-  auto it = stride_order_.begin();
-  while (it != stride_order_.end()) {
-    const auto key = *it;
+  // Stride pick: run the first schedulable env in (pass, sched_seq) order.
+  // Blocked envs keep their place and are predicate-checked as encountered,
+  // like the rotation above but in pass order. Only unparked envs are visited
+  // (stride_ready_); the parked ones between two visits would each have been
+  // a free skip, and nothing can change while skips charge nothing, so they
+  // are counted by rank in stride_order_ instead. A charged evaluation can
+  // fire device events that unpark or re-key envs, so the walk re-seeks past
+  // the last visited key each step: an env unparked ahead of the cursor is
+  // visited in this pick, one behind it is not, exactly as a visit-every-env
+  // walk would do.
+  size_t passed = 0;  // stride_order_ ranks at or before the cursor
+  auto it = stride_ready_.begin();
+  while (it != stride_ready_.end()) {
+    const StrideKey key = *it;
+    CountSkips(passed, stride_order_.order_of_key(key));
     if (Env* e = consider(&env(std::get<2>(key)))) {
       return e;
     }
-    it = stride_order_.upper_bound(key);
+    passed = stride_order_.order_of_key(key) +
+             (stride_order_.find(key) != stride_order_.end() ? 1 : 0);
+    it = stride_ready_.upper_bound(key);
   }
+  CountSkips(passed, stride_order_.size());
   return nullptr;
+}
+
+void XokKernel::CountSkips(size_t from, size_t to) {
+  if (to <= from) {
+    return;
+  }
+  *predicate_skip_counter_ += to - from;
+  if (tracer_->enabled(trace::Category::kSched)) {
+    for (size_t r = from; r < to; ++r) {
+      tracer_->Instant(trace::Category::kSched, trace_track_, "pred_skip",
+                       machine_->engine().now(), std::get<2>(*stride_order_.find_by_order(r)));
+    }
+  }
 }
 
 void XokKernel::StrideInsert(const Env& e) {
   if (stride_on_) {
     stride_order_.insert({e.pass, e.sched_seq, e.id});
+    stride_ready_.insert({e.pass, e.sched_seq, e.id});
   }
 }
 
 void XokKernel::StrideErase(const Env& e) {
   if (stride_on_) {
     stride_order_.erase({e.pass, e.sched_seq, e.id});
+    stride_ready_.erase({e.pass, e.sched_seq, e.id});
+  }
+}
+
+bool XokKernel::Skippable(const Env& e) const {
+  return e.state == EnvState::kBlocked && !e.predicate.watches.empty() && !e.predicate_dirty &&
+         machine_->engine().now() < e.predicate.deadline;
+}
+
+bool XokKernel::Parkable(const Env& e) const {
+  return e.predicate.deadline == UINT64_MAX && Skippable(e);
+}
+
+void XokKernel::Park(const Env& e) {
+  if (stride_on_ && Parkable(e)) {
+    stride_ready_.erase({e.pass, e.sched_seq, e.id});
+  }
+}
+
+void XokKernel::Unpark(const Env& e) {
+  if (stride_on_) {
+    stride_ready_.insert({e.pass, e.sched_seq, e.id});
   }
 }
 
@@ -400,11 +458,11 @@ void XokKernel::SetStrideScheduling(bool on) {
   EXO_CHECK(current_ == nullptr);  // host-only: the pick walk must not be live
   stride_on_ = on;
   stride_order_.clear();
-  if (stride_on_) {
-    for (const auto& [id, e] : envs_) {
-      if (e->alive) {
-        stride_order_.insert({e->pass, e->sched_seq, id});
-      }
+  stride_ready_.clear();
+  for (const auto& [id, e] : envs_) {
+    if (e->alive) {
+      StrideInsert(*e);
+      Park(*e);  // round-robin never parks: re-derive it
     }
   }
 }
@@ -737,6 +795,7 @@ void XokKernel::NotifyWatch(WatchKind kind, uint32_t id) {
       continue;  // stale entry: the watcher woke or died; prune it
     }
     eit->second->predicate_dirty = true;
+    Unpark(*eit->second);
     v[kept++] = watcher;
   }
   v.resize(kept);
@@ -1709,6 +1768,26 @@ std::string XokKernel::CheckInvariants() const {
   if (alive != alive_count_) {
     fail("alive_count " + std::to_string(alive_count_) + " != recount " + std::to_string(alive));
   }
+  // The child index is exactly the parent links of the envs that exist (an
+  // exit empties its own entry after orphaning every child in it).
+  size_t linked = 0;
+  for (const auto& [id, e] : envs_) {
+    if (e->parent != kInvalidEnv) {
+      ++linked;
+      auto kids = children_.find(e->parent);
+      if (kids == children_.end() || kids->second.count(id) == 0) {
+        fail("env " + std::to_string(id) + " missing from its parent's child index");
+      }
+    }
+  }
+  size_t indexed_children = 0;
+  for (const auto& [pid, kids] : children_) {
+    indexed_children += kids.size();
+  }
+  if (indexed_children != linked) {
+    fail("child index holds " + std::to_string(indexed_children) + " entries != " +
+         std::to_string(linked) + " parent links");
+  }
 
   // (5) Protection: every writable mapping is justified by a capability — held
   // by the mapped env itself, or by some env that also holds the mapped env's
@@ -1768,17 +1847,36 @@ std::string XokKernel::CheckInvariants() const {
 
   // (7) Stride-order consistency: one entry per alive env, keyed exactly by
   // its stored (pass, seq) — an env with a stale key would schedule at the
-  // wrong priority or never again.
+  // wrong priority or never again. The ready set is exactly the alive keys of
+  // the envs that are not Parkable: a parked env left in it costs a visit, a
+  // schedulable one missing from it would never be picked.
   if (stride_on_) {
     if (stride_order_.size() != alive_count_) {
       fail("stride order holds " + std::to_string(stride_order_.size()) + " entries != " +
            std::to_string(alive_count_) + " alive envs");
     }
+    size_t ready = 0;
     for (const auto& [id, e] : envs_) {
-      if (e->alive && stride_order_.count({e->pass, e->sched_seq, id}) == 0) {
+      if (!e->alive) {
+        continue;
+      }
+      const StrideKey key{e->pass, e->sched_seq, id};
+      if (stride_order_.find(key) == stride_order_.end()) {
         fail("alive env " + std::to_string(id) + " missing from stride order");
       }
+      const bool in_ready = stride_ready_.count(key) != 0;
+      if (in_ready == Parkable(*e)) {
+        fail("env " + std::to_string(id) +
+             (in_ready ? " parkable but in the ready set" : " schedulable but not in the ready set"));
+      }
+      ready += in_ready ? 1 : 0;
     }
+    if (stride_ready_.size() != ready) {
+      fail("ready set holds " + std::to_string(stride_ready_.size()) + " entries != " +
+           std::to_string(ready) + " unparked alive envs");
+    }
+  } else if (!stride_ready_.empty() || stride_order_.size() != 0) {
+    fail("round-robin mode with a non-empty stride index");
   }
 
   // (8) Demux consistency: the owner index is an exact partition of filters_,

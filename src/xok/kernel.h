@@ -37,6 +37,9 @@
 #include <utility>
 #include <vector>
 
+#include <ext/pb_ds/assoc_container.hpp>
+#include <ext/pb_ds/tree_policy.hpp>
+
 #include "hw/machine.h"
 #include "sim/status.h"
 #include "udf/insn.h"
@@ -377,9 +380,25 @@ class XokKernel {
     return s == 0 ? 1 : s;
   }
   // Stride-order maintenance: the set mirrors (pass, sched_seq) of every alive
-  // env, so every pass/seq change must erase + reinsert through these.
+  // env, so every pass/seq change must erase + reinsert through these. Both
+  // keep stride_ready_ in step; a parked env is never re-keyed.
   void StrideInsert(const Env& e);
   void StrideErase(const Env& e);
+  // True for a blocked env whose watched predicate is clean and whose deadline
+  // lies ahead: the pick skips it without evaluating.
+  bool Skippable(const Env& e) const;
+  // Parked: Skippable with no deadline, so only a watched write can make it
+  // schedulable again. In stride mode a parked env is in stride_order_ but not
+  // in stride_ready_: Park takes it out after a false evaluation (or when
+  // stride mode is switched on), NotifyWatch puts it back through Unpark, and
+  // StrideErase drops it on exit. Watched sleepers with a finite deadline stay
+  // in stride_ready_ and are skipped when the pick visits them.
+  bool Parkable(const Env& e) const;
+  void Park(const Env& e);
+  void Unpark(const Env& e);
+  // Adds the parked keys at stride-order ranks [from, to) to
+  // xok.predicate_skips, tracing one pred_skip each when kSched is on.
+  void CountSkips(size_t from, size_t to);
   // Pass bookkeeping at the two scheduling edges: `used` CPU cycles consumed
   // when an env is descheduled, and the bounded-lag clamp when a blocked env
   // wakes (a waker keeps its banked credit, capped at kMaxSchedLag behind the
@@ -435,6 +454,10 @@ class XokKernel {
 
   hw::Machine* machine_;
   std::map<EnvId, std::unique_ptr<Env>> envs_;
+  // Parent id -> ids of the envs created with that parent, so an exit finds
+  // its orphans without scanning envs_. Filled by CreateEnv; an exit empties
+  // its own entry, a reap leaves its parent's.
+  std::map<EnvId, std::set<EnvId>> children_;
   std::deque<EnvId> run_queue_;  // round-robin order over alive envs
   Env* current_ = nullptr;
   EnvId last_scheduled_ = kInvalidEnv;
@@ -442,10 +465,19 @@ class XokKernel {
   uint32_t alive_count_ = 0;
 
   // Stride scheduler: alive envs ordered by (pass, sched_seq, id). The
-  // scheduler picks the first schedulable entry; round-robin mode leaves the
-  // set maintained but unread so the two modes share every other code path.
+  // scheduler picks the first schedulable entry. Both sets below are empty
+  // in round-robin mode (SetStrideScheduling rebuilds them).
   bool stride_on_ = true;
-  std::set<std::tuple<uint64_t, uint64_t, EnvId>> stride_order_;
+  using StrideKey = std::tuple<uint64_t, uint64_t, EnvId>;
+  // An order-statistics tree, so the pick can count the parked envs between
+  // two candidates by rank instead of visiting them.
+  using StrideOrder =
+      __gnu_pbds::tree<StrideKey, __gnu_pbds::null_type, std::less<StrideKey>,
+                       __gnu_pbds::rb_tree_tag, __gnu_pbds::tree_order_statistics_node_update>;
+  StrideOrder stride_order_;
+  // The keys of the alive envs that are not parked: the only ones the pick
+  // visits.
+  std::set<StrideKey> stride_ready_;
   // Virtual clock: the pass of the most-entitled env actually served, i.e.
   // max over picks of the picked env's pass. Tracking the service point (the
   // way CFS tracks min_vruntime) rather than integrating a fair-share rate

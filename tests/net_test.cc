@@ -2,6 +2,7 @@
 // Cheetah's zero-copy + precomputed-checksum + ACK-piggybacking options.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "apps/http.h"
@@ -180,6 +181,28 @@ TEST_F(NetTest, RetransmitRecoversFromLoss) {
   ASSERT_EQ(got.size(), 100u);
   EXPECT_EQ(got[0], 0x42);
   EXPECT_GE(client->stats().retransmits, 1u);
+}
+
+TEST_F(NetTest, ZeroCopyProfileRetransmitsWhatAPlainSendCopied) {
+  // Under the zero-copy profile only SendPinned bytes are referenced until
+  // acked; Send copies, so its caller may reuse the buffer at once.
+  auto server = MakeStack(&nic_b_, &cpu_b_, 2, CheetahProfile());
+  auto client = MakeStack(&nic_a_, nullptr, 1, ClientProfile());
+  std::vector<uint8_t> buf(100, 0x42);
+  ASSERT_EQ(server->Listen(80, [&](TcpConn* c) {
+    drop_next_ = 1;  // the first data segment vanishes, so it is retransmitted
+    c->Send(buf);
+    std::fill(buf.begin(), buf.end(), 0x99);
+  }), Status::kOk);
+  std::vector<uint8_t> got;
+  client->Connect(2, 80, [&](TcpConn* c) {
+    c->set_on_data([&](TcpConn*, std::span<const uint8_t> d) {
+      got.insert(got.end(), d.begin(), d.end());
+    });
+  });
+  Run();
+  EXPECT_EQ(got, std::vector<uint8_t>(100, 0x42));
+  EXPECT_GE(server->stats().retransmits, 1u);
 }
 
 TEST_F(NetTest, ByteExactTransferUnderInjectedLossAndCorruption) {
@@ -399,7 +422,7 @@ TEST_F(NetTest, ZeroCopyProfileUsesLessCpu) {
     nb.SetReceiveHandler([&](hw::Packet p) { server->Input(p); });
     na.SetReceiveHandler([&](hw::Packet p) { client->Input(p); });
     size_t received = 0;
-    EXPECT_EQ(server->Listen(80, [&](TcpConn* c) { c->Send(blob, sums); }), Status::kOk);
+    EXPECT_EQ(server->Listen(80, [&](TcpConn* c) { c->SendPinned(blob, sums); }), Status::kOk);
     client->Connect(2, 80, [&](TcpConn* c) {
       c->set_on_data([&](TcpConn*, std::span<const uint8_t> d) { received += d.size(); });
     });

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "hw/machine.h"
@@ -1204,6 +1206,340 @@ TEST_F(XokTest, RoundRobinSwitchIgnoresTickets) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1, 0, 1}));
   EXPECT_EQ(machine.counters().Get("sched.stride_picks"), 0u);
   EXPECT_EQ(kernel.CheckInvariants(), "");
+}
+
+// ---- Stride pick over parked envs ----
+//
+// A blocked env whose watched predicate is clean and whose deadline lies ahead
+// is passed over by the pick at zero simulated cost; one with no deadline is
+// parked and counted without a visit. These cases pin the exact predicate
+// evaluation and skip counts and the wake order at each edge where an env
+// enters or leaves that state, so an indexed pick must reproduce a
+// visit-every-env walk exactly.
+
+// Key order of two envs in the stride walk.
+bool StrideBefore(const Env& a, const Env& b) {
+  return std::tie(a.pass, a.sched_seq, a.id) < std::tie(b.pass, b.sched_seq, b.id);
+}
+
+TEST_F(XokTest, StrideWatchedSleeperIsEvaluatedOnceItsDeadlinePasses) {
+  auto rid = kernel_.SysRegionCreate(8, {}, 0);
+  ASSERT_TRUE(rid.ok());
+  const sim::Cycles wake_at = 1'000'000;
+  std::vector<int> order;
+  sim::Cycles woke = 0;
+  kernel_.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
+    WakeupPredicate p;
+    p.host = [&] { return engine_.now() >= wake_at; };
+    p.deadline = wake_at;
+    p.watches.push_back(WatchSpec{WatchKind::kRegion, *rid});  // never written
+    kernel_.SysSleep(std::move(p));
+    woke = engine_.now();
+    order.push_back(100);
+  });
+  kernel_.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
+    for (int i = 0; i < 12; ++i) {
+      order.push_back(i);
+      kernel_.ChargeCpu(100'000);
+      EXPECT_EQ(kernel_.CheckInvariants(), "");
+      kernel_.SysYield();
+    }
+  });
+  const uint64_t evals0 = machine_.counters().Get("xok.predicate_evals");
+  const uint64_t skips0 = machine_.counters().Get("xok.predicate_skips");
+  kernel_.Run();
+  EXPECT_EQ(machine_.counters().Get("xok.predicate_evals") - evals0, 2u);
+  EXPECT_EQ(machine_.counters().Get("xok.predicate_skips") - skips0, 8u);
+  EXPECT_EQ(woke, 1'007'420u);  // the first pick after the deadline
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100, 10, 11}));
+  EXPECT_EQ(kernel_.CheckInvariants(), "");
+}
+
+// Env C sleeps on an unwatched predicate whose evaluation costs kEvalCost;
+// env W sleeps on a watched packet ring. A third env, D, lets both be evaluated,
+// then sends W a packet and exits, so the packet lands while the pick is
+// evaluating C. `c_first` chooses whether C precedes W in the stride walk.
+// With a finite `w_deadline` D sends nothing and W wakes on its
+// deadline instead.
+struct ChargedEvalWake {
+  std::vector<std::string> order;
+  sim::Cycles sent_at = 0;
+  sim::Cycles w_woke = 0;
+  std::vector<std::pair<sim::Cycles, sim::Cycles>> c_evals;  // [start, end]
+  uint64_t evals = 0;
+  uint64_t skips = 0;
+};
+
+ChargedEvalWake RunChargedEvalWake(bool c_first, sim::Cycles w_deadline = UINT64_MAX) {
+  constexpr sim::Cycles kEvalCost = 400'000;
+  constexpr double kLatencyUs = 100.0;  // 20,000 cycles at 200 MHz
+  sim::Engine engine;
+  hw::Machine machine(&engine, hw::MachineConfig{.mem_frames = 256});
+  XokKernel kernel(&machine);
+  hw::Nic peer(99);
+  hw::Link link(&engine, 100.0, kLatencyUs, 200);
+  link.Connect(&peer, &machine.nic(0));
+  auto prog = CacheablePortFilter(80);
+  EXPECT_TRUE(prog.ok);
+
+  ChargedEvalWake r;
+  bool w_done = false;
+  FilterId fid = 0;
+  const EnvId c = kernel.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
+    if (!c_first) {
+      kernel.ChargeCpu(200'000);  // a longer first run puts C after W
+    }
+    WakeupPredicate p;
+    p.host = [&] {
+      r.c_evals.push_back({engine.now() - kEvalCost, engine.now()});
+      return w_done;
+    };
+    p.host_cost = kEvalCost;
+    kernel.SysSleep(std::move(p));
+    r.order.push_back("C");
+  });
+  const EnvId w = kernel.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
+    auto f = kernel.SysFilterInstall(prog.program, 0);
+    ASSERT_TRUE(f.ok());
+    fid = *f;
+    WakeupPredicate p;
+    p.host = [&] {
+      return kernel.Filter(fid)->delivered > 0 || engine.now() >= w_deadline;
+    };
+    p.deadline = w_deadline;
+    p.watches.push_back(WatchSpec{WatchKind::kFilterRing, fid});
+    kernel.SysSleep(std::move(p));
+    r.w_woke = engine.now();
+    r.order.push_back("W");
+    if (w_deadline == UINT64_MAX) {
+      ASSERT_TRUE(kernel.SysRingConsume(fid, 0).ok());
+    }
+    w_done = true;
+  });
+  kernel.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
+    for (int i = 0; i < 2; ++i) {
+      r.order.push_back("D");
+      kernel.ChargeCpu(1'000'000);  // both sleepers are evaluated once
+      kernel.SysYield();
+    }
+    EXPECT_EQ(StrideBefore(kernel.env(c), kernel.env(w)), c_first);
+    EXPECT_FALSE(kernel.env(w).predicate_dirty);
+    EXPECT_EQ(kernel.CheckInvariants(), "");
+    r.sent_at = engine.now();
+    if (w_deadline == UINT64_MAX) {
+      peer.Transmit({.bytes = FrameForPort(80)});
+    }
+  });
+  const uint64_t evals0 = machine.counters().Get("xok.predicate_evals");
+  const uint64_t skips0 = machine.counters().Get("xok.predicate_skips");
+  kernel.Run();
+  r.evals = machine.counters().Get("xok.predicate_evals") - evals0;
+  r.skips = machine.counters().Get("xok.predicate_skips") - skips0;
+  EXPECT_EQ(kernel.CheckInvariants(), "");
+  return r;
+}
+
+// True when some evaluation of C was running when the packet arrived.
+bool ArrivedDuringAnEvalOfC(const ChargedEvalWake& r) {
+  const sim::Cycles arrival = r.sent_at + 20'000;
+  for (const auto& [start, end] : r.c_evals) {
+    if (start <= r.sent_at + 2'000 && arrival + 10'000 <= end) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST_F(XokTest, StrideWatchedWriteAheadOfCursorIsEvaluatedInTheSamePick) {
+  const ChargedEvalWake r = RunChargedEvalWake(/*c_first=*/true);
+  EXPECT_TRUE(ArrivedDuringAnEvalOfC(r));
+  EXPECT_EQ(r.order, (std::vector<std::string>{"D", "D", "W", "C"}));
+  EXPECT_EQ(r.evals, 6u);
+  EXPECT_EQ(r.skips, 1u);
+  EXPECT_EQ(r.w_woke - r.sent_at, 401'520u);  // woken by the pick that evaluated C
+}
+
+TEST_F(XokTest, StrideWatchedWriteBehindCursorWaitsForTheNextPick) {
+  const ChargedEvalWake r = RunChargedEvalWake(/*c_first=*/false);
+  EXPECT_TRUE(ArrivedDuringAnEvalOfC(r));
+  EXPECT_EQ(r.order, (std::vector<std::string>{"D", "D", "W", "C"}));
+  EXPECT_EQ(r.evals, 6u);
+  EXPECT_EQ(r.skips, 2u);
+  EXPECT_EQ(r.w_woke - r.sent_at, 421'520u);  // one idle tick later, by the next pick
+}
+
+TEST_F(XokTest, StrideDeadlinePassingDuringAChargedEvalAheadOfCursorWakesInTheSamePick) {
+  // The clock moves only inside charged evaluations, so a watched sleeper whose
+  // deadline passes during one is no longer skipped when the walk reaches it.
+  const sim::Cycles w_deadline = 2'830'240;
+  const ChargedEvalWake r = RunChargedEvalWake(/*c_first=*/true, w_deadline);
+  bool during = false;
+  for (const auto& [start, end] : r.c_evals) {
+    during = during || (start < w_deadline && w_deadline <= end);
+  }
+  EXPECT_TRUE(during);
+  EXPECT_EQ(r.order, (std::vector<std::string>{"D", "D", "W", "C"}));
+  EXPECT_EQ(r.evals, 6u);
+  EXPECT_EQ(r.skips, 1u);
+  EXPECT_EQ(r.w_woke, 3'207'440u);  // right after that evaluation of C
+}
+
+TEST_F(XokTest, StrideDirectedYieldToParkedEnvSkipsIt) {
+  auto rid = kernel_.SysRegionCreate(8, {}, 0);
+  auto quiet = kernel_.SysRegionCreate(8, {}, 0);
+  ASSERT_TRUE(rid.ok() && quiet.ok());
+  const sim::Cycles v_deadline = 10'000'000;
+  std::vector<int> order;
+  const EnvId w = kernel_.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
+    WakeupPredicate p;
+    p.host = [&] { return (*kernel_.RegionBytes(*rid))[0] != 0; };
+    p.watches.push_back(WatchSpec{WatchKind::kRegion, *rid});
+    kernel_.SysSleep(std::move(p));
+    order.push_back(100);
+  });
+  // v's deadline passes while it sleeps, inside one of the third env's slices,
+  // so the first pick to notice it is the one serving the hint.
+  const EnvId v = kernel_.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
+    WakeupPredicate p;
+    p.host = [&] { return engine_.now() >= v_deadline; };
+    p.deadline = v_deadline;
+    p.watches.push_back(WatchSpec{WatchKind::kRegion, *quiet});
+    kernel_.SysSleep(std::move(p));
+    order.push_back(200);
+    EXPECT_EQ(kernel_.CheckInvariants(), "");
+  });
+  kernel_.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
+    order.push_back(0);
+    kernel_.ChargeCpu(1'000'000);
+    kernel_.SysYield();  // w is evaluated once and parks
+    for (int i = 1; i <= 3; ++i) {
+      order.push_back(i);
+      EXPECT_FALSE(kernel_.env(w).predicate_dirty);
+      EXPECT_EQ(kernel_.CheckInvariants(), "");
+      kernel_.SysYield(w);  // the hint meets a parked env: a skip, not a run
+    }
+    const uint8_t one = 1;
+    ASSERT_EQ(kernel_.SysRegionWrite(*rid, 0, std::span<const uint8_t>(&one, 1), 0),
+              Status::kOk);
+    EXPECT_TRUE(kernel_.env(w).predicate_dirty);
+    EXPECT_EQ(kernel_.CheckInvariants(), "");
+    order.push_back(4);
+    kernel_.SysYield(w);
+    order.push_back(5);
+    while (kernel_.Now() + 1'500'000 < v_deadline) {
+      kernel_.ChargeCpu(1'000'000);
+      kernel_.SysYield();
+    }
+    kernel_.SysYield();
+    kernel_.ChargeCpu(1'500'000);
+    EXPECT_GE(kernel_.Now(), v_deadline);
+    order.push_back(6);
+    kernel_.SysYield(v);
+    order.push_back(7);
+  });
+  const uint64_t evals0 = machine_.counters().Get("xok.predicate_evals");
+  const uint64_t skips0 = machine_.counters().Get("xok.predicate_skips");
+  kernel_.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 100, 5, 6, 200, 7}));
+  EXPECT_EQ(machine_.counters().Get("xok.predicate_evals") - evals0, 4u);
+  EXPECT_EQ(machine_.counters().Get("xok.predicate_skips") - skips0, 19u);
+  EXPECT_EQ(kernel_.CheckInvariants(), "");
+}
+
+TEST_F(XokTest, StrideAbortOfWatchedSleepersLeavesNoIndexEntry) {
+  // w sleeps on a watch with a deadline (skipped at each visit), u on a watch
+  // with none (parked). Both are aborted asleep and reaped.
+  auto rid = kernel_.SysRegionCreate(8, {}, 0);
+  ASSERT_TRUE(rid.ok());
+  const sim::Cycles deadline = 20'000'000;
+  bool woke = false;
+  int laps = 0;
+  kernel_.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
+    const EnvId self = kernel_.current_id();
+    std::vector<EnvId> kids;
+    for (sim::Cycles d : {deadline, sim::Cycles{UINT64_MAX}}) {
+      kids.push_back(kernel_.CreateEnv(self, {Capability::Root()}, [&, d] {
+        WakeupPredicate p;
+        p.host = [] { return false; };
+        p.deadline = d;
+        p.watches.push_back(WatchSpec{WatchKind::kRegion, *rid});
+        kernel_.SysSleep(std::move(p));
+        woke = true;  // never: aborted asleep
+      }));
+    }
+    for (int i = 0; i < 4; ++i) {
+      kernel_.ChargeCpu(1'000'000);  // until both run, sleep and are evaluated
+      kernel_.SysYield();
+    }
+    for (EnvId k : kids) {
+      EXPECT_FALSE(kernel_.env(k).predicate_dirty) << k;
+      kernel_.AbortEnv(k, "test abort");
+      EXPECT_EQ(kernel_.CheckInvariants(), "");
+      auto code = kernel_.SysWait(k);  // reaped: a stale index entry would now dangle
+      ASSERT_TRUE(code.ok());
+      EXPECT_EQ(*code, -1);
+    }
+    while (kernel_.Now() < 2 * deadline) {
+      ++laps;
+      kernel_.ChargeCpu(1'000'000);
+      kernel_.SysYield();
+    }
+  });
+  const uint64_t evals0 = machine_.counters().Get("xok.predicate_evals");
+  const uint64_t skips0 = machine_.counters().Get("xok.predicate_skips");
+  kernel_.Run();
+  EXPECT_FALSE(woke);
+  EXPECT_EQ(laps, 36);
+  EXPECT_EQ(machine_.counters().Get("xok.predicate_evals") - evals0, 2u);
+  EXPECT_EQ(machine_.counters().Get("xok.predicate_skips") - skips0, 4u);
+  EXPECT_EQ(machine_.counters().Get("xok.env_aborts"), 2u);
+  EXPECT_EQ(kernel_.CheckInvariants(), "");
+}
+
+TEST_F(XokTest, StrideSwitchOnParksEnvsTheRotationWouldSkip) {
+  hw::Nic peer(99);
+  hw::Link link(&engine_, 100.0, 10.0, 200);
+  link.Connect(&peer, &machine_.nic(0));
+  auto p80 = CacheablePortFilter(80);
+  auto p81 = CacheablePortFilter(81);
+  ASSERT_TRUE(p80.ok && p81.ok);
+  kernel_.SetStrideScheduling(false);
+  std::vector<int> order;
+  std::vector<sim::Cycles> woke;
+  const sim::Cycles far = 10'000'000;
+  for (int i = 0; i < 2; ++i) {
+    kernel_.CreateEnv(kInvalidEnv, {Capability::Root()}, [&, i] {
+      auto f = kernel_.SysFilterInstall(i == 0 ? p80.program : p81.program, 0);
+      ASSERT_TRUE(f.ok());
+      const FilterId fid = *f;
+      WakeupPredicate p;
+      p.host = [&, fid] { return kernel_.Filter(fid)->delivered > 0 || engine_.now() >= far; };
+      p.deadline = i == 0 ? UINT64_MAX : far;
+      p.watches.push_back(WatchSpec{WatchKind::kFilterRing, fid});
+      kernel_.SysSleep(std::move(p));
+      order.push_back(i);
+      woke.push_back(engine_.now());
+    });
+  }
+  // Both sleepers are clean by now and every pick skips them for free, so
+  // these events fire from the idle loop, outside any pick. Env 1 has no
+  // deadline and parks; CheckInvariants holds the ready set to that.
+  engine_.ScheduleAt(1'000'000, [&] {
+    kernel_.SetStrideScheduling(true);
+    EXPECT_EQ(kernel_.CheckInvariants(), "");
+    for (EnvId id : {EnvId{1}, EnvId{2}}) {
+      EXPECT_FALSE(kernel_.env(id).predicate_dirty) << id;
+    }
+  });
+  engine_.ScheduleAt(2'000'000, [&] { peer.Transmit({.bytes = FrameForPort(80)}); });
+  const uint64_t evals0 = machine_.counters().Get("xok.predicate_evals");
+  const uint64_t skips0 = machine_.counters().Get("xok.predicate_skips");
+  kernel_.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(woke, (std::vector<sim::Cycles>{2'004'928, 10'001'520}));
+  EXPECT_EQ(machine_.counters().Get("xok.predicate_evals") - evals0, 4u);
+  EXPECT_EQ(machine_.counters().Get("xok.predicate_skips") - skips0, 404u);
+  EXPECT_EQ(kernel_.CheckInvariants(), "");
 }
 
 // ---- Pressure-driven revocation ----
