@@ -13,10 +13,14 @@
 //                    C-LOOK dispatch
 //   global_fig4      a scaled-down Figure 4 job mix: the end-to-end sanity number
 //                    (simulated seconds per wall second)
+//   machine_build    construct and destroy paper machines (64 MB RAM, 512 MB
+//                    disk): machines per second and host page faults per machine
 //
 // Results go to BENCH_simperf.json (override with --out FILE); `--check FILE`
 // gates them against bench/simperf_baseline.json (bench/report.h). See
 // docs/PERFORMANCE.md for how to read the numbers.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -29,6 +33,7 @@
 #include "bench/report.h"
 #include "cluster/topology.h"
 #include "hw/disk.h"
+#include "hw/machine.h"
 #include "net/packet.h"
 #include "sim/rng.h"
 #include "udf/insn.h"
@@ -51,6 +56,7 @@ struct WorkloadResult {
   double sim_s = 0;        // simulated seconds the workload advanced
   uint64_t predicate_evals = 0;
   uint64_t predicate_skips = 0;
+  double minflt_per_machine = 0;  // host minor page faults (machine_build)
 };
 
 // ---- Workload 1: event churn ----
@@ -432,6 +438,35 @@ WorkloadResult GlobalFig4(int jobs, int conc) {
   return r;
 }
 
+// ---- Workload 6: machine construction ----
+//
+// What every paper bench pays before its first simulated cycle. Only pages the
+// machine touches should cost host time and memory, so the fault count per
+// machine is gated alongside the rate.
+WorkloadResult MachineBuild(uint32_t machines) {
+  auto minflt = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
+  };
+  sim::Engine eng;
+  const hw::MachineConfig cfg{.mem_frames = 16384,
+                              .disks = {hw::DiskGeometry{.num_blocks = 131072}}};
+  const long faults0 = minflt();
+  const double t0 = WallNow();
+  for (uint32_t i = 0; i < machines; ++i) {
+    hw::Machine machine(&eng, cfg);
+  }
+  const double t1 = WallNow();
+
+  WorkloadResult r;
+  r.name = "machine_build";
+  r.ops = machines;
+  r.wall_s = t1 - t0;
+  r.minflt_per_machine = static_cast<double>(minflt() - faults0) / machines;
+  return r;
+}
+
 void PrintResult(const WorkloadResult& r) {
   std::printf("%-18s %12llu ops %9.3f s wall %12.0f ops/s %10.3f sim-s %8.2f sim-s/wall-s\n",
               r.name.c_str(), static_cast<unsigned long long>(r.ops), r.wall_s,
@@ -440,6 +475,9 @@ void PrintResult(const WorkloadResult& r) {
     std::printf("%-18s %12s evals=%llu skips=%llu\n", "", "",
                 static_cast<unsigned long long>(r.predicate_evals),
                 static_cast<unsigned long long>(r.predicate_skips));
+  }
+  if (r.name == "machine_build") {
+    std::printf("%-18s %12s minflt_per_machine=%.1f\n", "", "", r.minflt_per_machine);
   }
 }
 
@@ -469,6 +507,9 @@ int main(int argc, char** argv) {
               "", "", cs.parallel_threads, cs.speedup,
               static_cast<unsigned long long>(cs.rounds),
               static_cast<unsigned long long>(cs.cross_messages), hw_threads);
+  const WorkloadResult build = MachineBuild(2000);
+  results.push_back(build);
+  PrintResult(build);
 
   for (const WorkloadResult& r : results) {
     const double ops = static_cast<double>(r.ops);
@@ -480,6 +521,7 @@ int main(int argc, char** argv) {
     report.Set(r.name + ".predicate_evals", static_cast<double>(r.predicate_evals));
     report.Set(r.name + ".predicate_skips", static_cast<double>(r.predicate_skips));
   }
+  report.Set("machine_build.minflt_per_machine", build.minflt_per_machine);
   // threads=1 vs N equivalence is not a metric: ClusterScale EXO_CHECKs it.
   report.Set("hw_threads", hw_threads);
   report.Set("cluster.threads", cs.parallel_threads);

@@ -1,7 +1,9 @@
 #include "apps/lz.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/bytes.h"
 
@@ -25,12 +27,29 @@ using sim::LoadLe32;
 std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
   std::vector<uint8_t> out;
   out.reserve(in.size());
-  // Hash chain over 4-byte prefixes.
-  std::unordered_map<uint32_t, uint32_t> head;  // hash -> last position
+  // Last position of each 4-byte prefix, keyed by its full 32-bit hash (a
+  // bijection of the prefix, so distinct prefixes never share an entry).
+  // Open addressing with linear probing and no deletions; at least two slots per
+  // input byte keep the load at or under one half.
+  struct Slot {
+    uint32_t key = 0;
+    uint32_t pos_plus_1 = 0;  // 0: empty
+  };
+  const uint32_t slots =
+      std::bit_ceil(std::max<uint32_t>(2 * static_cast<uint32_t>(in.size()), 16));
+  const int shift = 32 - std::countr_zero(slots);
+  std::vector<Slot> head(slots);
   auto hash4 = [&](size_t i) {
     uint32_t v;
     std::memcpy(&v, in.data() + i, 4);
     return v * 2654435761u;
+  };
+  auto find = [&](uint32_t key) -> Slot& {
+    uint32_t s = key >> shift;
+    while (head[s].pos_plus_1 != 0 && head[s].key != key) {
+      s = (s + 1) & (slots - 1);
+    }
+    return head[s];
   };
   size_t i = 0;
   std::vector<uint8_t> literals;
@@ -49,9 +68,10 @@ std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
     uint32_t best_len = 0;
     uint32_t best_dist = 0;
     if (i + kMinMatch <= in.size()) {
-      auto it = head.find(hash4(i));
-      if (it != head.end()) {
-        uint32_t cand = it->second;
+      const uint32_t key = hash4(i);
+      Slot& slot = find(key);
+      if (slot.pos_plus_1 != 0) {
+        uint32_t cand = slot.pos_plus_1 - 1;
         if (cand < i && i - cand <= kWindow) {
           uint32_t len = 0;
           uint32_t max = static_cast<uint32_t>(std::min<size_t>(in.size() - i, kMaxMatch));
@@ -64,7 +84,7 @@ std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
           }
         }
       }
-      head[hash4(i)] = static_cast<uint32_t>(i);
+      slot = Slot{key, static_cast<uint32_t>(i) + 1};
     }
     if (best_len >= kMinMatch) {
       flush_literals();
@@ -72,7 +92,8 @@ std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
       out.push_back(static_cast<uint8_t>(best_len));
       AppendLe16(out, static_cast<uint16_t>(best_dist));
       for (uint32_t k = 1; k < best_len && i + k + kMinMatch <= in.size(); k += 3) {
-        head[hash4(i + k)] = static_cast<uint32_t>(i + k);
+        const uint32_t skipped = hash4(i + k);
+        find(skipped) = Slot{skipped, static_cast<uint32_t>(i + k) + 1};
       }
       i += best_len;
     } else {

@@ -32,7 +32,7 @@ Disk::Disk(sim::Engine* engine, PhysMem* mem, const DiskGeometry& geometry, uint
       mem_(mem),
       geometry_(geometry),
       cpu_mhz_(cpu_mhz),
-      store_(static_cast<size_t>(geometry.num_blocks) * kBlockSize, 0) {}
+      store_(AllocZeroed(static_cast<size_t>(geometry.num_blocks) * kBlockSize)) {}
 
 void Disk::EnableIntegrity() {
   integrity_ = true;
@@ -71,12 +71,12 @@ void Disk::Restamp(BlockId b) {
 
 std::span<uint8_t> Disk::RawBlock(BlockId b) {
   EXO_CHECK_LT(b, geometry_.num_blocks);
-  return std::span<uint8_t>(store_.data() + static_cast<size_t>(b) * kBlockSize, kBlockSize);
+  return std::span<uint8_t>(store_.get() + static_cast<size_t>(b) * kBlockSize, kBlockSize);
 }
 
 std::span<const uint8_t> Disk::RawBlock(BlockId b) const {
   EXO_CHECK_LT(b, geometry_.num_blocks);
-  return std::span<const uint8_t>(store_.data() + static_cast<size_t>(b) * kBlockSize,
+  return std::span<const uint8_t>(store_.get() + static_cast<size_t>(b) * kBlockSize,
                                   kBlockSize);
 }
 

@@ -6,9 +6,10 @@
 // the mechanism behind the C-FFS and XCP results: fewer, larger, better-ordered
 // requests take less time, and the model rewards exactly that.
 //
-// The disk stores real bytes. DMA moves data directly between the block store and
-// physical-memory frames without charging CPU copy cost (the paper's "zero-touch"
-// property, Sec. 7.2).
+// The disk stores real bytes, in demand-zero memory (hw/phys_mem.h): a block
+// never written reads as zeros and occupies no host memory. DMA moves data
+// directly between the block store and physical-memory frames without charging
+// CPU copy cost (the paper's "zero-touch" property, Sec. 7.2).
 #ifndef EXO_HW_DISK_H_
 #define EXO_HW_DISK_H_
 
@@ -224,7 +225,7 @@ class Disk {
   PhysMem* mem_;
   DiskGeometry geometry_;
   uint32_t cpu_mhz_;
-  std::vector<uint8_t> store_;
+  ZeroedBytes store_;
 
   std::list<QueuedRequest> queue_;
   BlockIndex by_start_;       // C-LOOK dispatch: all queued requests

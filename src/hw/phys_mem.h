@@ -4,11 +4,17 @@
 // Ownership, capabilities, and revocation policy are the kernel's job (xok/ or bsd/).
 // Frame contents are real so that file systems, pipes, and network buffers move actual
 // data and correctness is testable end to end.
+//
+// Frames (and the disk's block store, see hw/disk.h) live in demand-zero memory:
+// every byte reads as zero until written, but a machine pays host memory and
+// page-fault time only for the pages it touches.
 #ifndef EXO_HW_PHYS_MEM_H_
 #define EXO_HW_PHYS_MEM_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,10 +27,24 @@ using FrameId = uint32_t;
 constexpr uint32_t kPageSize = 4096;
 constexpr FrameId kInvalidFrame = 0xffffffff;
 
+// A zero-filled byte array from calloc. Large requests are served from fresh
+// anonymous mappings, which calloc does not clear and the host kernel zero-fills
+// one page at a time on first touch; small ones are cleared up front as usual.
+struct FreeDeleter {
+  void operator()(uint8_t* p) const { std::free(p); }
+};
+using ZeroedBytes = std::unique_ptr<uint8_t[], FreeDeleter>;
+
+inline ZeroedBytes AllocZeroed(size_t n) {
+  ZeroedBytes bytes(static_cast<uint8_t*>(std::calloc(n, 1)));
+  EXO_CHECK(bytes != nullptr || n == 0);
+  return bytes;
+}
+
 class PhysMem {
  public:
   explicit PhysMem(uint32_t num_frames)
-      : data_(static_cast<size_t>(num_frames) * kPageSize, 0),
+      : data_(AllocZeroed(static_cast<size_t>(num_frames) * kPageSize)),
         refcount_(num_frames, 0) {
     free_list_.reserve(num_frames);
     // Hand out low frames first so traces are stable.
@@ -67,11 +87,11 @@ class PhysMem {
 
   std::span<uint8_t> Data(FrameId f) {
     EXO_CHECK_LT(f, num_frames());
-    return std::span<uint8_t>(data_.data() + static_cast<size_t>(f) * kPageSize, kPageSize);
+    return std::span<uint8_t>(data_.get() + static_cast<size_t>(f) * kPageSize, kPageSize);
   }
   std::span<const uint8_t> Data(FrameId f) const {
     EXO_CHECK_LT(f, num_frames());
-    return std::span<const uint8_t>(data_.data() + static_cast<size_t>(f) * kPageSize,
+    return std::span<const uint8_t>(data_.get() + static_cast<size_t>(f) * kPageSize,
                                     kPageSize);
   }
 
@@ -81,7 +101,7 @@ class PhysMem {
   void ZeroFrame(FrameId f) { std::memset(Data(f).data(), 0, kPageSize); }
 
  private:
-  std::vector<uint8_t> data_;
+  ZeroedBytes data_;
   std::vector<uint32_t> refcount_;
   std::vector<FrameId> free_list_;
 };

@@ -1,6 +1,8 @@
 // Unit tests for the hardware substrate: physical memory, disk model, NIC/link model.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
@@ -306,6 +308,57 @@ TEST_F(DiskTest, PowerCutTearsMultiBlockWrite) {
                 .done = [&](Status s) { ok = s == Status::kOk; }});
   engine_.RunUntilIdle();
   EXPECT_TRUE(ok);
+}
+
+// ---- Demand-zero stores ----
+
+long MinorFaults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+bool AllBytesAre(std::span<const uint8_t> bytes, uint8_t v) {
+  return std::all_of(bytes.begin(), bytes.end(), [v](uint8_t b) { return b == v; });
+}
+
+TEST(DemandZeroTest, PaperSizedStoresFaultInOnlyTouchedPages) {
+  // A paper machine's 64 MB of RAM and a 512 MB disk: 147,456 host pages if
+  // zero-filled up front. The bound leaves room for sanitizer shadow pages.
+  constexpr uint32_t kFrames = 16384;
+  constexpr uint32_t kBlocks = 131072;
+  const long faults0 = MinorFaults();
+  sim::Engine engine;
+  PhysMem mem(kFrames);
+  Disk disk(&engine, &mem, DiskGeometry{.num_blocks = kBlocks}, 200);
+
+  FrameId frame = *mem.Alloc();
+  EXPECT_TRUE(AllBytesAre(mem.Data(frame), 0));
+  EXPECT_TRUE(AllBytesAre(disk.RawBlock(kBlocks / 2), 0));
+  EXPECT_TRUE(AllBytesAre(disk.RawBlock(kBlocks - 1), 0));
+
+  std::memset(mem.Data(frame).data(), 0x5a, kPageSize);
+  bool written = false;
+  disk.Submit({.write = true, .start = kBlocks / 2, .nblocks = 1, .frames = {frame},
+               .done = [&](Status s) { written = s == Status::kOk; }});
+  engine.RunUntilIdle();
+  ASSERT_TRUE(written);
+  EXPECT_LT(MinorFaults() - faults0, static_cast<long>(kFrames + kBlocks) / 4);
+
+  EXPECT_TRUE(AllBytesAre(disk.RawBlock(kBlocks / 2), 0x5a));
+  EXPECT_TRUE(AllBytesAre(disk.RawBlock(kBlocks / 2 - 1), 0));
+  EXPECT_TRUE(AllBytesAre(disk.RawBlock(kBlocks / 2 + 1), 0));
+
+  // The written block is media: it survives a power cycle and DMAs back in.
+  disk.PowerCut();
+  disk.PowerRestore();
+  FrameId back = *mem.Alloc();
+  bool read = false;
+  disk.Submit({.write = false, .start = kBlocks / 2, .nblocks = 1, .frames = {back},
+               .done = [&](Status s) { read = s == Status::kOk; }});
+  engine.RunUntilIdle();
+  ASSERT_TRUE(read);
+  EXPECT_TRUE(AllBytesAre(mem.Data(back), 0x5a));
 }
 
 // ---- Integrity sidecar and silent media faults ----

@@ -399,6 +399,41 @@ TEST(LzTest, CompressesSourceText) {
   EXPECT_LT(packed.size() * 2, content.size());  // at least 2:1 on C text
 }
 
+// 64-bit FNV-1a: a digest for pinning exact byte streams.
+uint64_t Fnv1a(std::span<const uint8_t> bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : bytes) {
+    h = (h ^ b) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Round trips cannot tell a lossy head table from an exact one (both decode), so
+// this pins the compressed bytes themselves: a table that loses or overwrites a
+// match candidate emits a different stream.
+TEST(LzTest, CompressedBytesArePinned) {
+  // Generated C text spanning five 64-KB blocks.
+  auto text = apps::FileContent({.path = "src/pinned.c", .size = 300'000, .seed = 7});
+  auto packed_text = apps::LzCompress(text);
+  EXPECT_EQ(packed_text.size(), 104146u);
+  EXPECT_EQ(Fnv1a(packed_text), 0xa39834fc2214f011ULL);
+
+  // A seeded 37-byte motif repeated, with a random byte every 997: long matches
+  // whose candidates are overwritten again and again.
+  sim::Rng rng(11);
+  std::vector<uint8_t> motif(37);
+  for (auto& b : motif) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  std::vector<uint8_t> repetitive(150'000);
+  for (size_t i = 0; i < repetitive.size(); ++i) {
+    repetitive[i] = i % 997 == 0 ? static_cast<uint8_t>(rng.Next()) : motif[i % motif.size()];
+  }
+  auto packed_rep = apps::LzCompress(repetitive);
+  EXPECT_EQ(packed_rep.size(), 3754u);
+  EXPECT_EQ(Fnv1a(packed_rep), 0x73e4e5b463e32875ULL);
+}
+
 TEST(LzTest, RejectsCorruptStream) {
   std::vector<uint8_t> data(5000, 42);
   auto packed = apps::LzCompress(data);
