@@ -2,17 +2,23 @@
 //
 // Every other bench in this directory reports *simulated* seconds; this one reports
 // how fast the simulator itself chews through its hot loops, so engine/scheduler/
-// disk-queue optimizations (and regressions) are visible. Four synthetic workloads:
+// disk-queue optimizations (and regressions) are visible. Seven workloads, run in
+// this order:
 //
 //   event_churn      raw sim::Engine schedule/cancel/fire churn shaped like the TCP
 //                    timer pattern (arm, re-arm, cancel-after-fire)
+//   trace_overhead   the event_churn loop with a tracer attached but disabled, so
+//                    every dispatch pays the instrumentation branch and no more
 //   predicate_storm  N blocked envs with downloaded wakeup predicates; a producer
 //                    pokes one region at a time, so almost every predicate the
 //                    scheduler could evaluate per decision is a waste
 //   disk_deep_queue  thousands of queued requests exercising merge lookup and
 //                    C-LOOK dispatch
-//   global_fig4      a scaled-down Figure 4 job mix: the end-to-end sanity number
-//                    (simulated seconds per wall second)
+//   global_fig4      a scaled-down Figure 4 job pool (grep, wc, cksum, sor; 16 jobs
+//                    at concurrency 4) on one Xok/ExOS machine: the app kernels
+//                    and the exos compute path
+//   cluster_scale    an 8-machine balancer fleet on the cluster engine, run at 1
+//                    and 4 threads: events per second and the parallel speedup
 //   machine_build    construct and destroy paper machines (64 MB RAM, 512 MB
 //                    disk): machines per second and host page faults per machine
 //

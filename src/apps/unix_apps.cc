@@ -1,6 +1,7 @@
 #include "apps/unix_apps.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -48,9 +49,6 @@ Status WriteWhole(os::UnixEnv& env, const std::string& path,
       return n.status();
     }
   }
-  if (data.empty()) {
-    // Creating an empty file is still a write op.
-  }
   return env.Close(*fd);
 }
 
@@ -66,22 +64,27 @@ Status Cp(os::UnixEnv& env, const std::string& src, const std::string& dst) {
     env.Close(*in);
     return out.status();
   }
+  // The fd table is system-wide, so every path out closes both descriptors.
   std::vector<uint8_t> chunk(kIoChunk);
+  Status err = Status::kOk;
   for (;;) {
     auto n = env.Read(*in, chunk);
     if (!n.ok()) {
-      return n.status();
+      err = n.status();
+      break;
     }
     if (*n == 0) {
       break;
     }
     auto w = env.Write(*out, std::span<const uint8_t>(chunk.data(), *n));
     if (!w.ok()) {
-      return w.status();
+      err = w.status();
+      break;
     }
   }
   env.Close(*in);
-  return env.Close(*out);
+  const Status closed = env.Close(*out);
+  return err != Status::kOk ? err : closed;
 }
 
 Status CpR(os::UnixEnv& env, const std::string& src, const std::string& dst) {
@@ -372,9 +375,24 @@ Result<uint64_t> Wc(os::UnixEnv& env, const std::string& path) {
     return data.status();
   }
   env.TouchData(data->size());
+  // Eight bytes per step: a byte of `x` is zero exactly where the input holds a
+  // newline, and `zero` gets 0x80 in exactly those bytes (no carry crosses a
+  // byte: (b & 0x7f) + 0x7f <= 0xfe). The multiply sums the 0/1 lanes; at most 8.
+  constexpr uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  const uint8_t* p = data->data();
+  const size_t size = data->size();
   uint64_t lines = 0;
-  for (uint8_t c : *data) {
-    lines += c == '\n' ? 1 : 0;
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, p + i, 8);
+    const uint64_t x = word ^ (kOnes * '\n');
+    const uint64_t zero = ~(((x & kLow7) + kLow7) | x | kLow7);
+    lines += ((zero >> 7) * kOnes) >> 56;
+  }
+  for (; i < size; ++i) {
+    lines += p[i] == '\n' ? 1 : 0;
   }
   return lines;
 }
@@ -387,16 +405,50 @@ Result<uint64_t> Grep(os::UnixEnv& env, const std::string& pattern,
   }
   env.TouchData(data->size() * 2);  // pattern scan is heavier than wc
   uint64_t hits = 0;
-  if (pattern.empty() || data->size() < pattern.size()) {
+  if (pattern.empty()) {
     return hits;
   }
-  for (size_t i = 0; i + pattern.size() <= data->size(); ++i) {
-    if (std::memcmp(data->data() + i, pattern.data(), pattern.size()) == 0) {
-      ++hits;
-    }
+  // Every offset where the pattern occurs, overlapping ones included: the next
+  // search starts one byte past each hit.
+  const uint8_t* p = data->data();
+  const uint8_t* end = p + data->size();
+  while (const void* hit = memmem(p, static_cast<size_t>(end - p), pattern.data(),
+                                  pattern.size())) {
+    ++hits;
+    p = static_cast<const uint8_t*>(hit) + 1;
   }
   return hits;
 }
+
+namespace {
+
+// 131^k mod 2^64 for k = 0..8.
+constexpr std::array<uint64_t, 9> kCksumPow = [] {
+  std::array<uint64_t, 9> pow{1};
+  for (size_t k = 1; k < pow.size(); ++k) {
+    pow[k] = pow[k - 1] * 131;
+  }
+  return pow;
+}();
+
+// sum = sum * 131 + c over `bytes`, mod 2^64. Horner's rule unrolled eight bytes
+// at a time is the same polynomial, and unsigned arithmetic is exact mod 2^64,
+// so the result is identical; only one multiply per word sits on the chain.
+uint64_t CksumFold(uint64_t sum, std::span<const uint8_t> bytes) {
+  const uint8_t* c = bytes.data();
+  size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8, c += 8) {
+    sum = sum * kCksumPow[8] + c[0] * kCksumPow[7] + c[1] * kCksumPow[6] +
+          c[2] * kCksumPow[5] + c[3] * kCksumPow[4] + c[4] * kCksumPow[3] +
+          c[5] * kCksumPow[2] + c[6] * kCksumPow[1] + c[7];
+  }
+  for (; i < bytes.size(); ++i, ++c) {
+    sum = sum * 131 + *c;
+  }
+  return sum;
+}
+
+}  // namespace
 
 Result<uint64_t> Cksum(os::UnixEnv& env, const std::string& dir, int rounds) {
   auto entries = env.ReadDir(dir);
@@ -414,9 +466,7 @@ Result<uint64_t> Cksum(os::UnixEnv& env, const std::string& dir, int rounds) {
         return data.status();
       }
       env.TouchData(data->size());
-      for (uint8_t c : *data) {
-        sum = sum * 131 + c;
-      }
+      sum = CksumFold(sum, *data);
     }
   }
   return sum;
@@ -424,54 +474,107 @@ Result<uint64_t> Cksum(os::UnixEnv& env, const std::string& dir, int rounds) {
 
 Result<double> Tsp(os::UnixEnv& env, int ncities, int iterations, uint64_t seed) {
   sim::Rng rng(seed);
-  std::vector<double> x(ncities);
-  std::vector<double> y(ncities);
-  for (int i = 0; i < ncities; ++i) {
+  const size_t n = static_cast<size_t>(ncities);
+  // The tour starts as 0, 1, ..., n - 1, so x[k], y[k] are the coordinates of
+  // the k-th city on the tour; they are reversed with it below.
+  std::vector<double> x(n);
+  std::vector<double> y(n);
+  for (size_t i = 0; i < n; ++i) {
     x[i] = rng.NextDouble();
     y[i] = rng.NextDouble();
   }
-  auto dist = [&](int a, int b) {
+  auto dist = [&](size_t a, size_t b) {
     double dx = x[a] - x[b];
     double dy = y[a] - y[b];
     return std::sqrt(dx * dx + dy * dy);
   };
-  std::vector<int> tour(ncities);
-  for (int i = 0; i < ncities; ++i) {
-    tour[i] = i;
+  // edge[k] is the length of the tour's edge k -> (k + 1) % n. Distances are
+  // symmetric bit for bit: x[a] - x[b] rounds to exactly -(x[b] - x[a]), so the
+  // squares, their sum and its root are the same either way round. So when a
+  // 2-opt move reverses positions i..j, the edges between them reverse with it,
+  // and the two edges it replaces take the lengths the move compared.
+  std::vector<double> edge(n);
+  for (size_t k = 0; k < n; ++k) {
+    edge[k] = dist(k, (k + 1) % n);
   }
   // 2-opt passes; each pass is O(n^2) distance evaluations, charged to the CPU.
   for (int it = 0; it < iterations; ++it) {
-    for (int i = 1; i < ncities - 1; ++i) {
-      for (int j = i + 1; j < ncities; ++j) {
-        double before = dist(tour[i - 1], tour[i]) + dist(tour[j], tour[(j + 1) % ncities]);
-        double after = dist(tour[i - 1], tour[j]) + dist(tour[i], tour[(j + 1) % ncities]);
-        if (after < before) {
-          std::reverse(tour.begin() + i, tour.begin() + j + 1);
+    for (size_t i = 1; i + 1 < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        const size_t next = j + 1 < n ? j + 1 : 0;
+        const double before = edge[i - 1] + edge[j];
+        const double to_last = dist(i - 1, j);
+        const double to_next = dist(i, next);
+        if (to_last + to_next < before) {
+          std::reverse(x.begin() + i, x.begin() + j + 1);
+          std::reverse(y.begin() + i, y.begin() + j + 1);
+          std::reverse(edge.begin() + i, edge.begin() + j);
+          edge[i - 1] = to_last;
+          edge[j] = to_next;
         }
       }
     }
     env.Compute(static_cast<sim::Cycles>(ncities) * ncities * 18);
   }
   double total = 0;
-  for (int i = 0; i < ncities; ++i) {
-    total += dist(tour[i], tour[(i + 1) % ncities]);
+  for (double e : edge) {
+    total += e;
   }
   return total;
 }
+
+namespace {
+
+constexpr double kSorOmega = 1.25;
+
+// One Gauss-Seidel sweep over interior rows [r0, r0 + R) of the n x n grid.
+// A point's new value depends only on whether its four neighbours are already
+// updated: upper and left must be, lower and right must not. Any order keeping
+// that gives the row-by-row sweep's bits. Here the rows advance on a wavefront
+// skewed by one column (at step t, row r0 + k updates column t - k + 1), so the
+// R points of a step are independent and their dependency chains overlap.
+template <int R>
+void SorRows(double* grid, int n, int r0) {
+  const int last = n - 2;  // interior columns are 1..last
+  double* row[R];
+  for (int k = 0; k < R; ++k) {
+    row[k] = grid + static_cast<size_t>(r0 + k) * n;
+  }
+  auto update = [n](double* p) {
+    double neigh = p[-n] + p[n] + p[-1] + p[1];
+    *p += kSorOmega * (neigh / 4.0 - *p);
+  };
+  for (int t = 0; t < last + R - 1; ++t) {
+    if (t >= R - 1 && t < last) {
+      for (int k = 0; k < R; ++k) {
+        update(row[k] + (t - k + 1));
+      }
+      continue;
+    }
+    for (int k = 0; k < R; ++k) {
+      const int j = t - k + 1;
+      if (j >= 1 && j <= last) {
+        update(row[k] + j);
+      }
+    }
+  }
+}
+
+}  // namespace
 
 Result<double> Sor(os::UnixEnv& env, int n, int iterations) {
   std::vector<double> grid(static_cast<size_t>(n) * n, 0.0);
   for (int i = 0; i < n; ++i) {
     grid[static_cast<size_t>(i)] = 1.0;  // top boundary
   }
-  const double omega = 1.25;
+  constexpr int kBlock = 8;
   for (int it = 0; it < iterations; ++it) {
-    for (int i = 1; i < n - 1; ++i) {
-      for (int j = 1; j < n - 1; ++j) {
-        size_t p = static_cast<size_t>(i) * n + j;
-        double neigh = grid[p - n] + grid[p + n] + grid[p - 1] + grid[p + 1];
-        grid[p] += omega * (neigh / 4.0 - grid[p]);
-      }
+    int i = 1;
+    for (; i + kBlock <= n - 1; i += kBlock) {
+      SorRows<kBlock>(grid.data(), n, i);
+    }
+    for (; i < n - 1; ++i) {
+      SorRows<1>(grid.data(), n, i);
     }
     env.Compute(static_cast<sim::Cycles>(n) * n * 14);
   }
